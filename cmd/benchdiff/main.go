@@ -18,10 +18,6 @@
 // guards against machine-class-sized slowdowns. Benchmarks present only in
 // the baseline fail too (coverage loss); new benchmarks are reported and
 // pass.
-//
-// The legacy single-file form (-old a.json -new b.json -metrics m1,m2
-// -max-regress 0.30) still works: -old is an alias for -baseline, and
-// -metrics/-max-regress expand to one -gate per metric.
 package main
 
 import (
@@ -256,8 +252,6 @@ func (s *stringList) Set(v string) error {
 type flags struct {
 	fs                         *flag.FlagSet
 	baselines, newPaths, gates stringList
-	oldPath, metrics           string
-	maxRegress                 float64
 }
 
 func newFlagSet(stderr io.Writer) *flags {
@@ -266,9 +260,6 @@ func newFlagSet(stderr io.Writer) *flags {
 	f.fs.Var(&f.baselines, "baseline", "baseline report (repeatable; all merge into one baseline set)")
 	f.fs.Var(&f.newPaths, "new", "fresh report to compare against the baseline (repeatable)")
 	f.fs.Var(&f.gates, "gate", "metric=max-regress gate, e.g. 'msgs/op=0.30' (repeatable)")
-	f.fs.StringVar(&f.oldPath, "old", "", "legacy alias for -baseline")
-	f.fs.StringVar(&f.metrics, "metrics", "ns/op,msgs/op", "legacy: comma-separated metrics, gated at -max-regress each")
-	f.fs.Float64Var(&f.maxRegress, "max-regress", 0.30, "legacy: maximum tolerated relative regression for -metrics")
 	return f
 }
 
@@ -281,12 +272,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.fs.Parse(args); err != nil {
 		return 2
 	}
-	baselines := append(stringList{}, fs.baselines...)
-	if fs.oldPath != "" {
-		baselines = append(baselines, fs.oldPath)
-	}
-	if len(baselines) == 0 || len(fs.newPaths) == 0 {
-		fmt.Fprintln(stderr, "benchdiff: at least one -baseline (or -old) and one -new are required")
+	baselines := fs.baselines
+	if len(baselines) == 0 || len(fs.newPaths) == 0 || len(fs.gates) == 0 {
+		fmt.Fprintln(stderr, "benchdiff: at least one -baseline, one -new and one -gate are required")
 		return 2
 	}
 	var gates []gate
@@ -297,13 +285,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		gates = append(gates, parsed)
-	}
-	if len(gates) == 0 {
-		for _, m := range strings.Split(fs.metrics, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				gates = append(gates, gate{metric: m, maxRegress: fs.maxRegress})
-			}
-		}
 	}
 	oldRes, err := parseFiles(baselines)
 	if err != nil {

@@ -180,14 +180,6 @@ func TestRunEndToEnd(t *testing.T) {
 	if !strings.Contains(errOut.String(), "2 regression(s)") {
 		t.Fatalf("stderr = %q, want both regressions counted", errOut.String())
 	}
-
-	// Legacy form still works.
-	out.Reset()
-	errOut.Reset()
-	code = run([]string{"-old", base1, "-new", freshOK, "-metrics", "msgs/op", "-max-regress", "0.30"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("legacy form exited %d: %s%s", code, out.String(), errOut.String())
-	}
 }
 
 // TestParseBenchmemAllocs pins the -benchmem line shape: B/op and

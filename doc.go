@@ -106,9 +106,9 @@
 // multi-writer key runs the two-bit multi-writer register restricted to
 // its writer set (core.WithMWWriters), so a process hosts one lane per
 // (key, writer) rather than per (key, process). Writes run the
-// READ/PROCEED freshness round per key; the Store exposes per-key writer
-// handles, and writes through an out-of-set process fail with
-// regmap.ErrNotWriter — per key.
+// READ/PROCEED freshness round per key, and a write through an out-of-set
+// process fails with cluster.ErrNotWriter at the cluster.KeyedNode event
+// loop — per key.
 //
 // On the wire a message is the register's own frame wrapped with its key
 // (KeyedMsg). The census stays honest under multiplexing: key bytes (like
@@ -116,7 +116,7 @@
 // metrics.EntryCounter/Addressed, so the store reports exactly two control
 // bits per logical entry. With Config.Coalesce, frames from DIFFERENT keys
 // headed down the same link coalesce into one keyed multi-frame
-// (regmap.MultiMsg): the goroutine store flushes per mailbox burst, the
+// (regmap.MultiMsg): cluster.KeyedNode flushes per mailbox burst, the
 // simulator grants a half-Δ flush window (proto.Flusher /
 // transport.WithFlushWindow), and a read-dominated 50-key workload drops
 // from ~17 to ~2.3 frames per operation (BenchmarkRegmapMWMR, committed as
@@ -153,8 +153,8 @@
 //
 // internal/transport.Mesh carries the same state machines over real
 // sockets: a fully connected loopback/LAN mesh of length-framed two-bit
-// wire messages (internal/wire) under cluster.Node's event loop — the
-// stack cmd/regnode deploys. The send path is pipelined per peer: Send
+// wire messages (internal/wire) under cluster.KeyedNode's event loop —
+// the stack cmd/regnode deploys. The send path is pipelined per peer: Send
 // enqueues on the destination's bounded queue and a dedicated sender
 // goroutine drains everything queued per wakeup into a single conn.Write
 // (writev-style batching through one reused encode buffer), with an
@@ -195,15 +195,10 @@
 // group members) — consumed by cmd/regctl and cmd/regload alike. The
 // sharded throughput scaling is recorded in EXPERIMENTS.md E-SH1.
 //
-// The v1 line-oriented text protocol is deprecated and kept for one
-// release behind regnode -legacy (regctl -legacy speaks it). The mapping
-// onto the keyed protocol: the v1 service was one unnamed register, so
-//
-//	v1 "read\n"         ->  v2 get "default"
-//	v1 "write <text>\n" ->  v2 put "default" <text>
-//
-// with v1's "ok ..."/"err ..." reply lines replaced by the binary
-// response statuses (OK, Err, WrongShard, Unavailable).
+// Every member boots the same way: shard.Process wires the mesh, the keyed
+// store on its cluster.KeyedNode event loop, optional stable storage and
+// the client server. regnode runs one; shard.LocalCluster, which regload
+// and the examples use, is a grid of them.
 //
 // # Durable registers: crash-restart recovery
 //

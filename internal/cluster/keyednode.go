@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"twobitreg/internal/proto"
+	"twobitreg/internal/regmap"
 	"twobitreg/internal/storage"
 )
 
@@ -24,14 +25,14 @@ type KeyedProcess interface {
 	Deliver(from int, msg proto.Message) proto.Effects
 }
 
-// KeyedNode is the standalone runtime for one process of the keyed store —
-// the per-shard-member event loop of the sharded TCP service (cmd/regnode
-// v2). It is Node's keyed sibling: the same injected-send/Deliver contract
-// toward a transport mesh, but client operations carry keys, any number of
-// them may be pending at once (operations on one key serialize inside the
-// KeyedProcess; different keys proceed independently), and the whole
-// mailbox drains as one burst so the store's cross-key coalescer gets a
-// flush point per burst instead of per event.
+// KeyedNode is the one event loop every runtime uses: the per-shard-member
+// loop of the sharded TCP service (shard.Process), and — through the Serial
+// adapter — each process of a Cluster. Outbound messages go through an
+// injected send function and inbound ones arrive via Deliver. Client
+// operations carry keys and any number of them may be pending at once
+// (operations on one key serialize inside the KeyedProcess; different keys
+// proceed independently). The whole mailbox drains as one burst, so a
+// coalescing process gets one flush point per burst instead of per event.
 type KeyedNode struct {
 	id   int
 	proc KeyedProcess
@@ -110,22 +111,33 @@ func (nd *KeyedNode) PeerRestarted(peer int) {
 	nd.PeerRestartedFunc(peer, nil)
 }
 
-// Do performs one blocking client operation on key. Writes through a
-// process outside the key's writer set surface as ErrNotWriter.
+// Do performs one blocking client operation on key. A key longer than
+// regmap.MaxKeyLen fails with regmap.ErrKeyTooLong before it reaches the
+// process: it could not be encoded, and on a coalescing link its failed
+// encode would drop the other keys' frames that share the multi-frame.
+// Writes through a process outside the key's writer set surface as
+// ErrNotWriter.
 func (nd *KeyedNode) Do(key string, kind proto.OpKind, val proto.Value) (proto.Value, error) {
+	if len(key) > regmap.MaxKeyLen {
+		return nil, fmt.Errorf("%w: %d bytes (max %d)", regmap.ErrKeyTooLong, len(key), regmap.MaxKeyLen)
+	}
 	nd.opMu.Lock()
 	nd.opSeq++
 	op := nd.opSeq
 	nd.opMu.Unlock()
+	c, err := nd.invoke(op, key, kind, val)
+	return c.Value, err
+}
+
+// invoke runs operation op, which must be unique at this node, and waits
+// for its completion.
+func (nd *KeyedNode) invoke(op proto.OpID, key string, kind proto.OpKind, val proto.Value) (proto.Completion, error) {
 	reply := make(chan result, 1)
 	if !nd.enqueue(keyedEvent{op: op, key: key, kind: kind, val: val, reply: reply}) {
-		return nil, ErrStopped
+		return proto.Completion{}, ErrStopped
 	}
 	r := <-reply
-	if r.err != nil {
-		return nil, r.err
-	}
-	return r.c.Value, nil
+	return r.c, r.err
 }
 
 // Get reads key through this node.

@@ -1,10 +1,9 @@
 // Package regload is the closed-loop load harness for the sharded keyed
-// TCP service: it stands up a shards×(procs/shards) regnode-style cluster
-// (cluster.KeyedNode + transport.Mesh quorum groups per shard, client-
-// protocol session servers per process — the exact cmd/regnode v2
-// production stack over loopback), drives it through internal/regclient
-// with a configurable number of closed-loop clients, and reports ops/sec
-// plus latency histograms.
+// TCP service: it stands up a shards×(procs/shards) shard.LocalCluster
+// (a grid of shard.Process, the process cmd/regnode runs, over
+// loopback), drives it through internal/regclient with a configurable
+// number of closed-loop clients, and reports ops/sec plus latency
+// histograms.
 //
 // Closed-loop means each client issues its next operation only after the
 // previous one completes — throughput and latency are measured under
@@ -16,25 +15,20 @@ package regload
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"twobitreg/internal/cluster"
 	"twobitreg/internal/metrics"
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regclient"
-	"twobitreg/internal/regmap"
 	"twobitreg/internal/shard"
 	"twobitreg/internal/storage"
 	"twobitreg/internal/transport"
-	"twobitreg/internal/wire"
 )
 
 // Spec configures one load run. Validate reports the first problem as a
@@ -63,8 +57,6 @@ type Spec struct {
 	Ops      int64
 	// ValueSize is the written payload size in bytes (0 = 16).
 	ValueSize int
-	// Coalesce enables regmap's cross-key frame coalescing.
-	Coalesce bool
 	// PerFrame disables the meshes' batched drains (one conn.Write per
 	// frame) — the E-TCP1 measurement baseline for the batching win.
 	PerFrame bool
@@ -213,7 +205,6 @@ type Report struct {
 	Clients  int           `json:"clients"`
 	Keys     int           `json:"keys"`
 	ReadFrac float64       `json:"read_frac"`
-	Coalesce bool          `json:"coalesce"`
 	PerFrame bool          `json:"per_frame,omitempty"`
 	FlushWin time.Duration `json:"flush_window_ns,omitempty"`
 	Dead     []int         `json:"dead,omitempty"`
@@ -275,8 +266,8 @@ func (r *Report) WriteHistogram() *metrics.Histogram { return &r.writeHist }
 
 // String renders the human-readable report.
 func (r *Report) String() string {
-	s := fmt.Sprintf("regload: n=%d shards=%d clients=%d keys=%d reads=%.0f%% coalesce=%v",
-		r.Procs, r.Shards, r.Clients, r.Keys, 100*r.ReadFrac, r.Coalesce)
+	s := fmt.Sprintf("regload: n=%d shards=%d clients=%d keys=%d reads=%.0f%%",
+		r.Procs, r.Shards, r.Clients, r.Keys, 100*r.ReadFrac)
 	if r.PerFrame {
 		s += " per-frame"
 	}
@@ -313,10 +304,10 @@ func probeKey(pid, shardIdx, shards int) string {
 	}
 }
 
-// Run executes one load run per spec: build the sharded cluster over
-// loopback TCP, kill the Dead processes, drive the clients through the
-// binary client protocol (with any scheduled Restart faults firing
-// mid-load), tear everything down.
+// Run executes one load run per spec: boot the sharded cluster over
+// loopback TCP (shard.StartLocal), kill the Dead processes, drive the
+// clients through the binary client protocol (with any scheduled Restart
+// faults firing mid-load), tear everything down.
 func Run(spec Spec) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -330,160 +321,26 @@ func Run(spec Spec) (*Report, error) {
 	}
 	shardOf := func(pid int) int { return pid / per }
 	localOf := func(pid int) int { return pid % per }
-	allWriters := make([]int, per)
-	for i := range allWriters {
-		allWriters[i] = i
-	}
-	newStore := func(pid int) (*regmap.Node, error) {
-		return regmap.NewNode(localOf(pid), regmap.Config{
-			N: per, DefaultWriters: allWriters, Coalesce: spec.Coalesce,
-		})
-	}
 
 	// Restart runs arm an in-memory log per process so a victim can be
 	// rebuilt from its durable state; plain runs skip the logging overhead
 	// (the BENCH_tcp trajectory measures the unlogged path).
-	var logs []*storage.MemLog
+	var opts []shard.LocalOption
 	if len(spec.Restart) > 0 {
-		logs = make([]*storage.MemLog, n)
-		for i := range logs {
-			logs[i] = storage.NewMemLog()
-		}
+		opts = append(opts, shard.WithMemLogs())
 	}
-
-	// Node, mesh and server slots are atomic pointers because restarts
-	// swap them mid-run: a nil slot is a crashed process — sends toward it
-	// fail, frames addressed to it drop, its client port refuses — exactly
-	// the asymmetry a crash produces.
-	nodes := make([]atomic.Pointer[cluster.KeyedNode], n)
-	meshes := make([]atomic.Pointer[transport.Mesh], n)
-	servers := make([]atomic.Pointer[shard.Server], n)
-	meshAddrs := make([]string, n)
-	clientAddrs := make([]string, n)
-	// gate sequences a revival's slot swap against inbound deliveries and
-	// client ops: while a revival holds it exclusively, deliveries and
-	// client-protocol requests wait (frames are delayed, not dropped) and
-	// first see the revived node with its link resets already enqueued
-	// ahead of them.
-	var gate sync.RWMutex
-	var sendErrs atomic.Int64
-	var meshOpts []transport.MeshOption
 	if spec.PerFrame {
-		meshOpts = append(meshOpts, transport.WithPerFrameWrites())
+		opts = append(opts, shard.WithMeshOptions(transport.WithPerFrameWrites()))
 	}
 	if spec.FlushWindow > 0 {
-		meshOpts = append(meshOpts, transport.WithSendFlushWindow(spec.FlushWindow))
+		opts = append(opts, shard.WithMeshOptions(transport.WithSendFlushWindow(spec.FlushWindow)))
 	}
-	shardMeshAddrs := func(s int) []string { return meshAddrs[s*per : (s+1)*per] }
-	newMesh := func(pid int, addr string) (*transport.Mesh, error) {
-		return transport.NewMesh(localOf(pid), per, addr, wire.Codec{}, func(from int, msg proto.Message) {
-			gate.RLock()
-			nd := nodes[pid].Load()
-			gate.RUnlock()
-			if nd != nil {
-				nd.Deliver(from, msg)
-			}
-		}, meshOpts...)
+	lc, err := shard.StartLocal(shards, per, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("regload: %w", err)
 	}
-	sender := func(pid int) func(to int, msg proto.Message) {
-		return func(to int, msg proto.Message) {
-			m := meshes[pid].Load()
-			if m == nil || m.Send(to, msg) != nil {
-				sendErrs.Add(1)
-			}
-		}
-	}
-	// handler serves pid's client port: requests against a crashed slot
-	// answer StatusUnavailable so clients fail over within the shard.
-	handler := func(pid int) shard.Handler {
-		return func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
-			gate.RLock()
-			nd := nodes[pid].Load()
-			gate.RUnlock()
-			if nd == nil {
-				return nil, shard.ErrUnavailable
-			}
-			var v []byte
-			var err error
-			if op == wire.ClientGet {
-				v, err = nd.Get(key)
-			} else {
-				err = nd.Put(key, val)
-			}
-			if errors.Is(err, cluster.ErrStopped) {
-				// The node died under the request (a kill racing the
-				// session): unavailable, not terminal — fail over.
-				return nil, shard.ErrUnavailable
-			}
-			return v, err
-		}
-	}
-	defer func() {
-		for i := range nodes {
-			if nd := nodes[i].Swap(nil); nd != nil {
-				nd.Stop()
-			}
-			if srv := servers[i].Swap(nil); srv != nil {
-				srv.Close()
-			}
-			if m := meshes[i].Swap(nil); m != nil {
-				m.Close()
-			}
-		}
-	}()
-
-	// Phase 1: bind every mesh listener on an ephemeral port (same
-	// two-phase construction as cmd/regnode; the deliver closure indirects
-	// through the node slots, filled in before any node is driven), then
-	// wire each shard's peer table.
-	for i := 0; i < n; i++ {
-		m, err := newMesh(i, "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("regload: mesh %d: %w", i, err)
-		}
-		meshes[i].Store(m)
-		meshAddrs[i] = m.Addr()
-	}
-	for i := 0; i < n; i++ {
-		if err := meshes[i].Load().SetPeers(shardMeshAddrs(shardOf(i))); err != nil {
-			return nil, err
-		}
-	}
-	// Phase 2: the nodes, sending through their current mesh slot. With
-	// restarts scheduled every process logs to stable storage, so a victim
-	// can be replayed back.
-	for i := 0; i < n; i++ {
-		st, err := newStore(i)
-		if err != nil {
-			return nil, err
-		}
-		if logs != nil {
-			if !st.RecoveryEnabled() {
-				return nil, fmt.Errorf("regload: the keyed store is not recoverable; -restart needs a durable configuration")
-			}
-			st.AttachStorage(logs[i])
-		}
-		nodes[i].Store(cluster.NewKeyedNode(localOf(i), st, sender(i)))
-	}
-	// Phase 3: the client-protocol servers, one per process.
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("regload: client listener %d: %w", i, err)
-		}
-		srv, err := shard.Serve(ln, shardOf(i), shards, handler(i))
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		servers[i].Store(srv)
-		clientAddrs[i] = srv.Addr()
-	}
-	clientCfg := &shard.ClusterConfig{Shards: make([]shard.Shard, shards)}
-	for i := 0; i < n; i++ {
-		s := shardOf(i)
-		clientCfg.Shards[s].Procs = append(clientCfg.Shards[s].Procs, shard.Proc{Client: clientAddrs[i]})
-	}
+	defer lc.Close()
+	proc := func(pid int) *shard.Process { return lc.Proc(shardOf(pid), localOf(pid)) }
 
 	// The routing client pool: one Client per shard-member offset, shared
 	// by the client goroutines (goroutine c uses pool[c%per]) — sessions
@@ -491,7 +348,7 @@ func Run(spec Spec) (*Report, error) {
 	// over one conn per node is the intended shape.
 	pool := make([]*regclient.Client, per)
 	for j := range pool {
-		cl, err := regclient.New(clientCfg, j)
+		cl, err := regclient.New(lc.Config, j)
 		if err != nil {
 			return nil, err
 		}
@@ -503,148 +360,19 @@ func Run(spec Spec) (*Report, error) {
 		}
 	}()
 
-	// kill crashes one process: node stopped, client server and mesh
-	// listener and connections closed, slots nilled so peers' frames
-	// toward it drop and clients' dials are refused.
-	kill := func(pid int) {
-		if nd := nodes[pid].Swap(nil); nd != nil {
-			nd.Stop()
-		}
-		if srv := servers[pid].Swap(nil); srv != nil {
-			srv.Close()
-		}
-		if m := meshes[pid].Swap(nil); m != nil {
-			m.Close()
-		}
-	}
-
-	// revive rebuilds a killed process from its durable log: replay into a
-	// fresh process, reset every live shard peer's link to it, rebind the
-	// original addresses (the peers' tables and the clients' routing
-	// config are fixed), and swap the recovered node in with its own link
-	// resets queued first.
+	// revive brings a killed process back from its log. The revived
+	// process must serve again: one client-protocol read through its own
+	// port proves it recovered, reconnected, and reaches a quorum.
 	revive := func(pid int) error {
-		sh := shardOf(pid)
-		fresh, err := newStore(pid)
-		if err != nil {
+		if err := lc.Revive(shardOf(pid), localOf(pid)); err != nil {
 			return err
 		}
-		if err := fresh.Recover(logs[pid]); err != nil {
-			return fmt.Errorf("recover p%d: %w", pid, err)
-		}
-		// Every live shard peer resets its link to the victim while the
-		// victim's listener is still down: the purge of frames queued for
-		// the dead incarnation runs inside the peer's reset step, so once
-		// the listener returns, the peer's queue holds nothing older than
-		// the re-shipped backlog, in FIFO order behind the dial retry. The
-		// listener must stay down until the steps have run — hence the
-		// wait, bounded in case a peer is stopped out from under it by an
-		// overlapping restart.
-		//
-		// The gate closes over the whole reset-to-swap window, not just
-		// the swap: everything a peer emits toward the victim after its
-		// purge is addressed to the live incarnation and must not be lost,
-		// but the victim cannot drain its bounded transport queue until
-		// the listener is back. Quiescing deliveries and new client ops
-		// caps what accumulates in that window at the re-shipped backlog
-		// plus whatever the event loops had in flight — comfortably inside
-		// the queue bound — where free-running load could overflow it and
-		// wedge the cluster on the silently dropped frames (lanes never
-		// resend: a sent cursor only moves forward).
-		gate.Lock()
-		var resetWG sync.WaitGroup
-		for j := sh * per; j < (sh+1)*per; j++ {
-			if j == pid {
-				continue
-			}
-			pn := nodes[j].Load()
-			if pn == nil {
-				continue
-			}
-			pm := meshes[j].Load()
-			resetWG.Add(1)
-			ok := pn.PeerRestartedFunc(localOf(pid), func() {
-				if pm != nil {
-					pm.PeerRestarted(localOf(pid))
-				}
-				resetWG.Done()
-			})
-			if !ok {
-				resetWG.Done()
-			}
-		}
-		resets := make(chan struct{})
-		go func() { resetWG.Wait(); close(resets) }()
-		select {
-		case <-resets:
-		case <-time.After(5 * time.Second):
-		}
-		var m *transport.Mesh
-		var err2 error
-		for try := 0; ; try++ {
-			m, err2 = newMesh(pid, meshAddrs[pid])
-			if err2 == nil {
-				break
-			}
-			if try >= 200 {
-				gate.Unlock()
-				return fmt.Errorf("rebind %s: %w", meshAddrs[pid], err2)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if err := m.SetPeers(shardMeshAddrs(sh)); err != nil {
-			gate.Unlock()
-			m.Close()
-			return err
-		}
-		nd := cluster.NewKeyedNode(localOf(pid), fresh, sender(pid))
-		meshes[pid].Store(m)
-		nodes[pid].Store(nd)
-		// The victim's own link resets enqueue before the gate opens, so
-		// they run ahead of every inbound frame and client op. The dial
-		// kicks break the peers' senders out of their reconnect backoff
-		// now that the listener is provably up: the re-shipped backlogs
-		// (queued since the purge) start draining in milliseconds, before
-		// the post-gate load resumes and contends for queue space.
-		for j := sh * per; j < (sh+1)*per; j++ {
-			if j == pid {
-				continue
-			}
-			if nodes[j].Load() != nil {
-				nd.PeerRestarted(localOf(j))
-			}
-			if pm := meshes[j].Load(); pm != nil {
-				pm.KickDial(localOf(pid))
-			}
-		}
-		gate.Unlock()
-		// Rebind the client port so the routing config stays valid.
-		var ln net.Listener
-		for try := 0; ; try++ {
-			ln, err2 = net.Listen("tcp", clientAddrs[pid])
-			if err2 == nil {
-				break
-			}
-			if try >= 200 {
-				return fmt.Errorf("rebind client %s: %w", clientAddrs[pid], err2)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		srv, err := shard.Serve(ln, sh, shards, handler(pid))
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		servers[pid].Store(srv)
-		// The revived process must serve again: one client-protocol read
-		// through its own port proves it recovered, reconnected, and
-		// reaches a quorum.
-		sess, err := regclient.DialNode(clientAddrs[pid])
+		sess, err := regclient.DialNode(proc(pid).ClientAddr())
 		if err != nil {
 			return fmt.Errorf("post-revival dial p%d: %w", pid, err)
 		}
 		defer sess.Close()
-		if _, err := sess.Get(probeKey(pid, sh, shards)); err != nil {
+		if _, err := sess.Get(probeKey(pid, shardOf(pid), shards)); err != nil {
 			return fmt.Errorf("post-revival read on p%d: %w", pid, err)
 		}
 		return nil
@@ -654,10 +382,8 @@ func Run(spec Spec) (*Report, error) {
 	// (peers may have dialed them) and now crash — node stopped, listeners
 	// and connections closed. Live processes keep (re)trying them; clients
 	// fail over to their shard siblings.
-	for i := 0; i < n; i++ {
-		if contains(spec.Dead, i) {
-			kill(i)
-		}
+	for _, pid := range spec.Dead {
+		proc(pid).Kill()
 	}
 
 	// Schedule the kill-and-revive faults. Each victim gets a final
@@ -679,15 +405,16 @@ func Run(spec Spec) (*Report, error) {
 			time.Sleep(rs.After)
 			marker := []byte(fmt.Sprintf("ack-probe-p%d", rs.Proc))
 			acked := false
-			if sess, err := regclient.DialNode(clientAddrs[rs.Proc]); err == nil {
+			if sess, err := regclient.DialNode(proc(rs.Proc).ClientAddr()); err == nil {
 				acked = sess.Put(probeKey(rs.Proc, shardOf(rs.Proc), shards), marker) == nil
 				sess.Close()
 			}
 			debugf("marker write p%d acked=%v", rs.Proc, acked)
-			kill(rs.Proc)
+			proc(rs.Proc).Kill()
 			debugf("killed p%d", rs.Proc)
-			logs[rs.Proc].DropUnsynced() // the crash: the unsynced tail vanishes
-			if acked && !logContains(logs[rs.Proc], marker) {
+			log := lc.Log(shardOf(rs.Proc), localOf(rs.Proc))
+			log.DropUnsynced() // the crash: the unsynced tail vanishes
+			if acked && !logContains(log, marker) {
 				lostAcks.Add(1)
 			}
 			down := rs.Down
@@ -802,10 +529,8 @@ func Run(spec Spec) (*Report, error) {
 							stats[c].reads, stats[c].writes, stats[c].errors)
 					}
 				}
-				for i := range meshes {
-					if m := meshes[i].Load(); m != nil {
-						debugf("mesh %d: %s", i, m.Stats())
-					}
+				for i := 0; i < n; i++ {
+					debugf("mesh %d: %s", i, proc(i).MeshStats())
 				}
 			}
 		}()
@@ -821,7 +546,6 @@ func Run(spec Spec) (*Report, error) {
 		Clients:       spec.Clients,
 		Keys:          spec.Keys,
 		ReadFrac:      spec.ReadFrac,
-		Coalesce:      spec.Coalesce,
 		PerFrame:      spec.PerFrame,
 		FlushWin:      spec.FlushWindow,
 		Dead:          append([]int(nil), spec.Dead...),
@@ -829,7 +553,6 @@ func Run(spec Spec) (*Report, error) {
 		RestartErrs:   restartErrs.Load(),
 		LostAckWrites: lostAcks.Load(),
 		Elapsed:       elapsed,
-		SendErrs:      sendErrs.Load(),
 	}
 	for c := range stats {
 		st := &stats[c]
@@ -843,10 +566,9 @@ func Run(spec Spec) (*Report, error) {
 	if elapsed > 0 {
 		rep.OpsPerSec = float64(rep.Ops) / elapsed.Seconds()
 	}
-	for i := range meshes {
-		if m := meshes[i].Load(); m != nil {
-			rep.Mesh.Add(m.Stats())
-		}
+	for i := 0; i < n; i++ {
+		rep.Mesh.Add(proc(i).MeshStats())
+		rep.SendErrs += proc(i).SendErrs()
 	}
 	rep.ReadLat = summarize(&rep.readHist)
 	rep.WriteLat = summarize(&rep.writeHist)

@@ -27,7 +27,7 @@ type KeyedAlgorithm struct {
 
 // NewKeyedAlgorithm builds the adapter: name registers it, keys is the
 // key-space size, tmpl carries the store options (Coalesce, Fault, writer
-// sets; N and Collector are ignored).
+// sets; N is ignored).
 func NewKeyedAlgorithm(name string, keys int, tmpl Config) KeyedAlgorithm {
 	if keys < 1 {
 		panic(fmt.Sprintf("regmap: keyed algorithm %q needs at least 1 key, got %d", name, keys))
@@ -39,9 +39,9 @@ func NewKeyedAlgorithm(name string, keys int, tmpl Config) KeyedAlgorithm {
 // enforcement: restrict(k, n) computes key k's writer set for an n-process
 // cluster, and New threads the resulting table through Config.Writers. A
 // write whose invoking process is outside its key's set completes
-// immediately as Rejected (the ErrNotWriter boundary), without running the
-// protocol — so key-less harnesses can drive schedules across rejection
-// boundaries and still judge the accepted operations.
+// immediately as Rejected (the cluster.ErrNotWriter boundary), without
+// running the protocol — so key-less harnesses can drive schedules across
+// rejection boundaries and still judge the accepted operations.
 func NewRestrictedKeyedAlgorithm(name string, keys int, tmpl Config, restrict func(key, n int) []int) KeyedAlgorithm {
 	a := NewKeyedAlgorithm(name, keys, tmpl)
 	a.restrict = restrict
@@ -68,7 +68,6 @@ func (a KeyedAlgorithm) KeyName(k int) string { return fmt.Sprintf("k%04d", k) }
 func (a KeyedAlgorithm) New(id, n, _ int) proto.Process {
 	cfg := a.tmpl
 	cfg.N = n
-	cfg.Collector = nil
 	if len(cfg.DefaultWriters) == 0 {
 		all := make([]int, n)
 		for i := range all {

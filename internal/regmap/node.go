@@ -11,7 +11,7 @@ import (
 
 // Node is the keyed store's state machine at one process: a map from key to
 // register instance on the lane engine, plus the cross-key frame coalescer.
-// Like the core protocol types it is single-threaded — the goroutine Store
+// Like the core protocol types it is single-threaded — a cluster.KeyedNode
 // serializes calls through its event loop, and the deterministic harnesses
 // (simulator, explorer) call it directly.
 type Node struct {
@@ -57,6 +57,9 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	sh, err := newShared(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if id < 0 || id >= sh.n {
+		return nil, fmt.Errorf("regmap: node id %d out of range [0,%d)", id, sh.n)
 	}
 	return newNode(id, sh), nil
 }
@@ -120,7 +123,7 @@ func (nd *Node) reg(key string) *reg {
 
 // Start begins a client operation on key. Writes must come through a member
 // of the key's writer set — harnesses reject foreign writes first
-// (ErrNotWriter); reaching the protocol with one is a harness bug and
+// (cluster.KeyedNode answers cluster.ErrNotWriter); reaching the protocol with one is a harness bug and
 // panics. Completions surface in this or a later Effects.Done.
 func (nd *Node) Start(key string, op proto.OpID, kind proto.OpKind, val proto.Value) proto.Effects {
 	if kind == proto.OpWrite && !nd.IsWriter(key, nd.id) {

@@ -6,35 +6,79 @@ import (
 	"sync"
 	"testing"
 
+	"twobitreg/internal/cluster"
 	"twobitreg/internal/metrics"
+	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
 )
 
-func newStore(t *testing.T, n int) *regmap.Store {
+// store is an in-memory keyed store for the tests: one regmap.Node per
+// process, each on its own cluster.KeyedNode event loop, wired to each
+// other by direct Deliver calls (the production stack minus the TCP mesh).
+type store struct {
+	cfg   regmap.Config
+	nodes []*cluster.KeyedNode
+}
+
+// newStore starts cfg.N processes. onSend, if non-nil, sees every message
+// a process sends; it runs on the sender's event loop.
+func newStore(t *testing.T, cfg regmap.Config, onSend func(proto.Message)) *store {
 	t.Helper()
-	s, err := regmap.New(regmap.Config{N: n})
-	if err != nil {
-		t.Fatal(err)
+	s := &store{cfg: cfg, nodes: make([]*cluster.KeyedNode, cfg.N)}
+	for i := range s.nodes {
+		nd, err := regmap.NewNode(i, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := i
+		// s.nodes[to] is filled before any send: sends happen on event
+		// loops, which get their first event after newStore returns.
+		s.nodes[i] = cluster.NewKeyedNode(i, nd, func(to int, msg proto.Message) {
+			if onSend != nil {
+				onSend(msg)
+			}
+			s.nodes[to].Deliver(from, msg)
+		})
 	}
-	t.Cleanup(s.Stop)
+	t.Cleanup(s.stop)
 	return s
+}
+
+// write stores val under key through process pid.
+func (s *store) write(pid int, key string, val string) error {
+	return s.nodes[pid].Put(key, []byte(val))
+}
+
+// read returns key's value as seen through process pid.
+func (s *store) read(pid int, key string) (proto.Value, error) {
+	return s.nodes[pid].Get(key)
+}
+
+// crash stops process pid: its registers stop with it, and sends toward it
+// are dropped.
+func (s *store) crash(pid int) { s.nodes[pid].Stop() }
+
+func (s *store) stop() {
+	for _, nd := range s.nodes {
+		nd.Stop()
+	}
 }
 
 func TestStoreWriteRead(t *testing.T) {
 	t.Parallel()
-	s := newStore(t, 5)
-	if err := s.Write("alpha", []byte("1")); err != nil {
+	s := newStore(t, regmap.Config{N: 5}, nil)
+	if err := s.write(0, "alpha", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("beta", []byte("2")); err != nil {
+	if err := s.write(0, "beta", "2"); err != nil {
 		t.Fatal(err)
 	}
 	for pid := 0; pid < 5; pid++ {
-		a, err := s.Read(pid, "alpha")
+		a, err := s.read(pid, "alpha")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Read(pid, "beta")
+		b, err := s.read(pid, "beta")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,12 +90,12 @@ func TestStoreWriteRead(t *testing.T) {
 
 func TestStoreKeysAreIndependent(t *testing.T) {
 	t.Parallel()
-	s := newStore(t, 3)
-	if err := s.Write("k", []byte("x")); err != nil {
+	s := newStore(t, regmap.Config{N: 3}, nil)
+	if err := s.write(0, "k", "x"); err != nil {
 		t.Fatal(err)
 	}
 	// A never-written key reads nil even after other keys were written.
-	v, err := s.Read(2, "unwritten")
+	v, err := s.read(2, "unwritten")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +106,13 @@ func TestStoreKeysAreIndependent(t *testing.T) {
 
 func TestStoreOverwrite(t *testing.T) {
 	t.Parallel()
-	s := newStore(t, 3)
+	s := newStore(t, regmap.Config{N: 3}, nil)
 	for k := 1; k <= 10; k++ {
-		if err := s.Write("cfg", []byte(fmt.Sprintf("rev%d", k))); err != nil {
+		if err := s.write(0, "cfg", fmt.Sprintf("rev%d", k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, err := s.Read(1, "cfg")
+	v, err := s.read(1, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +123,7 @@ func TestStoreOverwrite(t *testing.T) {
 
 func TestStoreConcurrentKeys(t *testing.T) {
 	t.Parallel()
-	s := newStore(t, 5)
+	s := newStore(t, regmap.Config{N: 5}, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -88,7 +132,7 @@ func TestStoreConcurrentKeys(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("key-%d", w)
 			for k := 1; k <= 10; k++ {
-				if err := s.Write(key, []byte(fmt.Sprintf("%d", k))); err != nil {
+				if err := s.write(0, key, fmt.Sprintf("%d", k)); err != nil {
 					t.Errorf("write %s: %v", key, err)
 					return
 				}
@@ -99,7 +143,7 @@ func TestStoreConcurrentKeys(t *testing.T) {
 			defer wg.Done()
 			key := fmt.Sprintf("key-%d", w)
 			for k := 0; k < 10; k++ {
-				if _, err := s.Read(1+(w+k)%4, key); err != nil {
+				if _, err := s.read(1+(w+k)%4, key); err != nil {
 					t.Errorf("read %s: %v", key, err)
 					return
 				}
@@ -109,7 +153,7 @@ func TestStoreConcurrentKeys(t *testing.T) {
 	wg.Wait()
 	// Final values converge.
 	for w := 0; w < 8; w++ {
-		v, err := s.Read(4, fmt.Sprintf("key-%d", w))
+		v, err := s.read(4, fmt.Sprintf("key-%d", w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,40 +165,41 @@ func TestStoreConcurrentKeys(t *testing.T) {
 
 func TestStoreCrashMinority(t *testing.T) {
 	t.Parallel()
-	s := newStore(t, 5)
-	if err := s.Write("k", []byte("before")); err != nil {
+	s := newStore(t, regmap.Config{N: 5}, nil)
+	if err := s.write(0, "k", "before"); err != nil {
 		t.Fatal(err)
 	}
-	s.Crash(3)
-	s.Crash(4)
-	if err := s.Write("k", []byte("after")); err != nil {
+	s.crash(3)
+	s.crash(4)
+	if err := s.write(0, "k", "after"); err != nil {
 		t.Fatalf("write with minority crashed: %v", err)
 	}
-	v, err := s.Read(1, "k")
+	v, err := s.read(1, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(v) != "after" {
 		t.Fatalf("read %q, want after", v)
 	}
-	if _, err := s.Read(4, "k"); !errors.Is(err, regmap.ErrCrashed) {
-		t.Fatalf("read via crashed process: %v, want ErrCrashed", err)
+	if _, err := s.read(4, "k"); !errors.Is(err, cluster.ErrStopped) {
+		t.Fatalf("read via crashed process: %v, want ErrStopped", err)
 	}
 }
 
+// TestStoreControlBitsAccounting counts every sent message through the
+// send function: each carries the register's 2 bits + 16 key bits.
 func TestStoreControlBitsAccounting(t *testing.T) {
 	t.Parallel()
 	col := &metrics.Collector{}
-	s, err := regmap.New(regmap.Config{N: 3, Collector: col})
-	if err != nil {
+	s := newStore(t, regmap.Config{N: 3}, col.OnSend)
+	if err := s.write(0, "ab", "v"); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
-	if err := s.Write("ab", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	s.stop() // every event loop has exited: the census is complete
 	snap := col.Snapshot()
-	// Every message carries the register's 2 bits + 16 key bits.
+	if snap.TotalMsgs == 0 {
+		t.Fatal("no messages counted")
+	}
 	if snap.MaxCtrlBits != 2+16 {
 		t.Fatalf("max control bits = %d, want 18 (2 register + 16 key)", snap.MaxCtrlBits)
 	}
@@ -162,48 +207,44 @@ func TestStoreControlBitsAccounting(t *testing.T) {
 
 func TestStoreRejectsBadInput(t *testing.T) {
 	t.Parallel()
-	if _, err := regmap.New(regmap.Config{N: 0}); err == nil {
+	if _, err := regmap.NewNode(0, regmap.Config{N: 0}); err == nil {
 		t.Fatal("accepted N=0")
 	}
-	s := newStore(t, 3)
-	long := make([]byte, regmap.MaxKeyLen+1)
-	if err := s.Write(string(long), []byte("v")); !errors.Is(err, regmap.ErrKeyTooLong) {
+	if _, err := regmap.NewNode(99, regmap.Config{N: 3}); err == nil {
+		t.Fatal("accepted out-of-range pid")
+	}
+	s := newStore(t, regmap.Config{N: 3}, nil)
+	long := string(make([]byte, regmap.MaxKeyLen+1))
+	if err := s.write(0, long, "v"); !errors.Is(err, regmap.ErrKeyTooLong) {
 		t.Fatalf("oversized key: %v, want ErrKeyTooLong", err)
 	}
-	if _, err := s.Read(99, "k"); err == nil {
-		t.Fatal("accepted out-of-range pid")
+	if _, err := s.read(1, long); !errors.Is(err, regmap.ErrKeyTooLong) {
+		t.Fatalf("oversized key read: %v, want ErrKeyTooLong", err)
 	}
 }
 
 func TestStoreStopUnblocksPending(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Crash(1)
-	s.Crash(2) // majority gone: writes cannot finish
+	s := newStore(t, regmap.Config{N: 3}, nil)
+	s.crash(1)
+	s.crash(2) // majority gone: writes cannot finish
 	done := make(chan error, 1)
-	go func() { done <- s.Write("k", []byte("stuck")) }()
-	s.Stop()
-	if err := <-done; !errors.Is(err, regmap.ErrStopped) && !errors.Is(err, regmap.ErrCrashed) {
-		t.Fatalf("unblocked write: %v, want ErrStopped/ErrCrashed", err)
+	go func() { done <- s.write(0, "k", "stuck") }()
+	s.stop()
+	if err := <-done; !errors.Is(err, cluster.ErrStopped) {
+		t.Fatalf("unblocked write: %v, want ErrStopped", err)
 	}
 }
 
 func TestStoreWithHistoryGC(t *testing.T) {
 	t.Parallel()
-	s, err := regmap.New(regmap.Config{N: 3, HistoryGC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	s := newStore(t, regmap.Config{N: 3, HistoryGC: true}, nil)
 	for k := 1; k <= 50; k++ {
-		if err := s.Write("hot", []byte(fmt.Sprintf("%d", k))); err != nil {
+		if err := s.write(0, "hot", fmt.Sprintf("%d", k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, err := s.Read(2, "hot")
+	v, err := s.read(2, "hot")
 	if err != nil {
 		t.Fatal(err)
 	}

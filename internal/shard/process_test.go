@@ -1,0 +1,158 @@
+package shard
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"twobitreg/internal/regmap"
+)
+
+// reserveAddrs returns n loopback addresses that were free a moment ago,
+// for topologies whose addresses must be known before every process runs.
+func reserveAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	return addrs
+}
+
+// TestProcessBootsIntoLiveShard boots two members of a three-member shard
+// and keeps puts running through them, so their WRITE frames toward the
+// third member queue up and flood it as soon as its mesh listens. The
+// third member's node must be reachable before its mesh delivers: no
+// panic, no race report, and it must then serve a get of the latest write.
+func TestProcessBootsIntoLiveShard(t *testing.T) {
+	addrs := reserveAddrs(t, 6)
+	peers, clients := addrs[:3], addrs[3:]
+	start := func(id int) *Process {
+		p, err := StartProcess(ProcessConfig{Shards: 1, ID: id, Peers: peers, Client: clients[id]})
+		if err != nil {
+			t.Fatalf("start process %d: %v", id, err)
+		}
+		t.Cleanup(p.Kill)
+		return p
+	}
+	live := []*Process{start(0), start(1)}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, len(live))
+	for w, p := range live {
+		w, p := w, p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := p.Node().Put(fmt.Sprintf("k%d", i%4), []byte(fmt.Sprintf("w%d.%d", w, i))); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	third := start(2)
+	time.Sleep(50 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// A frame the third member lost while booting would leave a gap in a
+	// writer's lane that is never resent: its view of the key would stall.
+	if err := live[0].Node().Put("k0", []byte("final")); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		v, err := third.Node().Get("k0")
+		if err == nil && string(v) != "final" {
+			err = fmt.Errorf("read %q, want final", v)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("third member's get: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("third member never served its get")
+	}
+}
+
+// TestLocalRejectsBadInput pins the input checks in front of the wire
+// codec. An oversized key fails fast at the node: were it to reach the
+// store, its frame would fail to encode and, coalesced, take the other
+// keys' frames of the same multi-frame down with it, wedging them. So a
+// put and a get on a normal key, issued alongside it, must complete.
+func TestLocalRejectsBadInput(t *testing.T) {
+	if _, err := StartLocal(1, 0); err == nil {
+		t.Fatal("accepted a shard of 0 processes")
+	}
+	if _, err := StartProcess(ProcessConfig{Shards: 1, ID: 99, Peers: []string{"127.0.0.1:0"}}); err == nil {
+		t.Fatal("accepted an out-of-range process id")
+	}
+
+	lc, err := StartLocal(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	nd := lc.Proc(0, 0).Node()
+	long := strings.Repeat("k", regmap.MaxKeyLen+1)
+	ops := []func() error{
+		func() error {
+			if err := nd.Put(long, []byte("v")); !errors.Is(err, regmap.ErrKeyTooLong) {
+				return fmt.Errorf("oversized put: %v, want ErrKeyTooLong", err)
+			}
+			return nil
+		},
+		func() error {
+			if _, err := nd.Get(long); !errors.Is(err, regmap.ErrKeyTooLong) {
+				return fmt.Errorf("oversized get: %v, want ErrKeyTooLong", err)
+			}
+			return nil
+		},
+		func() error { return nd.Put("normal", []byte("v")) },
+		func() error {
+			_, err := nd.Get("normal")
+			return err
+		},
+	}
+	done := make(chan error, len(ops))
+	for _, op := range ops {
+		op := op
+		go func() { done <- op() }()
+	}
+	for range ops {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("an operation issued alongside the oversized key never completed")
+		}
+	}
+}

@@ -227,7 +227,7 @@ func TestStartLocalSmoke(t *testing.T) {
 
 	var fw wire.ClientFrameWriter
 	put := func(s, proc int, key, val string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Server(s, proc).Addr())
+		conn, err := net.Dial("tcp", lc.Proc(s, proc).Server().Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestStartLocalSmoke(t *testing.T) {
 		return readResp(t, conn)
 	}
 	get := func(s, proc int, key string) wire.ClientResponse {
-		conn, err := net.Dial("tcp", lc.Server(s, proc).Addr())
+		conn, err := net.Dial("tcp", lc.Proc(s, proc).Server().Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

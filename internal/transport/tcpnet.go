@@ -232,10 +232,8 @@ func (m *Mesh) SetPeers(addrs []string) error {
 	if m.peers != nil {
 		return errors.New("transport: SetPeers called twice")
 	}
-	select {
-	case <-m.done:
+	if m.shuttingDown() {
 		return errors.New("transport: mesh closed")
-	default:
 	}
 	m.peers = make([]*peer, m.n)
 	for id, addr := range addrs {
@@ -374,6 +372,16 @@ func (m *Mesh) KickDial(to int) {
 	select {
 	case p.kick <- struct{}{}:
 	default:
+	}
+}
+
+// shuttingDown reports whether Close has begun.
+func (m *Mesh) shuttingDown() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -539,7 +547,10 @@ func (p *peer) take() bool {
 	for (len(p.queue) == 0 || p.writing) && !p.closed {
 		p.cond.Wait()
 	}
-	if p.closed {
+	// Shutdown ends the sender before close() marks the peer closed:
+	// draining on into lost batches would make room for Block-policy
+	// Sends, which would then succeed against a closing mesh.
+	if p.closed || p.m.shuttingDown() {
 		p.mu.Unlock()
 		return false
 	}
@@ -610,10 +621,8 @@ func (p *peer) ensureConn() net.Conn {
 		if attempt > 0 && !p.backoff() {
 			return nil
 		}
-		select {
-		case <-p.m.done:
+		if p.m.shuttingDown() {
 			return nil
-		default:
 		}
 		c, err := net.Dial("tcp", p.addr)
 		if err != nil {

@@ -15,13 +15,20 @@ import (
 	"twobitreg/internal/wire"
 )
 
-// tcpRig wires n cluster.Nodes over loopback TCP meshes — the full
-// production stack (state machine + event loop + 2-bit wire format + TCP)
-// inside one test process.
+// tcpRig wires n register processes over loopback TCP meshes — the full
+// production stack (state machine + KeyedNode event loop through the
+// Serial adapter + 2-bit wire format + TCP) inside one test process.
 type tcpRig struct {
-	nodes  []*cluster.Node
+	nodes  []regNode
 	meshes []*transport.Mesh
 }
+
+// regNode drives the one register a Serial KeyedNode runs (the adapter
+// ignores keys).
+type regNode struct{ *cluster.KeyedNode }
+
+func (n regNode) Write(v proto.Value) error  { return n.Put("", v) }
+func (n regNode) Read() (proto.Value, error) { return n.Get("") }
 
 func startTCPRig(t *testing.T, n int) *tcpRig {
 	return startTCPRigAlg(t, n, core.Algorithm())
@@ -30,7 +37,7 @@ func startTCPRig(t *testing.T, n int) *tcpRig {
 func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 	t.Helper()
 	rig := &tcpRig{
-		nodes:  make([]*cluster.Node, n),
+		nodes:  make([]regNode, n),
 		meshes: make([]*transport.Mesh, n),
 	}
 	// Phase 1: bind every listener on an ephemeral port. The deliver
@@ -56,11 +63,12 @@ func startTCPRigAlg(t *testing.T, n int, alg proto.Algorithm) *tcpRig {
 	// Phase 2: the nodes, sending through their mesh.
 	for i := 0; i < n; i++ {
 		i := i
-		rig.nodes[i] = cluster.NewNode(i, n, 0, alg, func(to int, msg proto.Message) {
+		send := func(to int, msg proto.Message) {
 			if err := rig.meshes[i].Send(to, msg); err != nil {
 				t.Errorf("node %d send to %d: %v", i, to, err)
 			}
-		})
+		}
+		rig.nodes[i] = regNode{cluster.NewKeyedNode(i, cluster.Serial(alg.New(i, n, 0)), send)}
 	}
 	t.Cleanup(func() {
 		for _, nd := range rig.nodes {
