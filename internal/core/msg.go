@@ -83,11 +83,11 @@ const BatchLenBits = 8
 const MaxBatchEntries = 255
 
 // MaxBatchDataBytes bounds the value payload packed into one multi-value
-// batch frame, so a legal batch always encodes well under the stream
-// transports' 1<<24 frame cap (wire.MaxValueLen / transport maxFrame). The
-// emitter splits runs that would exceed it; a single value larger than
-// this ships as its own LaneMsg, subject to the same per-value transport
-// limits as the SWMR register's WRITEs.
+// frame — a lane batch here, a keyed multi-frame in the keyed store — so a
+// legal batch always encodes well under the stream transports' frame cap
+// (transport maxFrame). The emitters split runs that would exceed it; a
+// single value larger than this ships as its own frame, subject to the
+// same per-value limit (wire.MaxValueLen) as the SWMR register's WRITEs.
 const MaxBatchDataBytes = 1 << 20
 
 // LaneMsg wraps one lane's WRITE with the id of the writer whose stream it

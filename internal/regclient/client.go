@@ -14,6 +14,7 @@
 package regclient
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -113,9 +114,10 @@ func (s *Session) fail(reason error) {
 }
 
 func (s *Session) readLoop() {
+	br := bufio.NewReaderSize(s.conn, wire.ClientReadBufSize)
 	var buf []byte
 	for {
-		body, err := wire.ReadClientFrame(s.conn, buf)
+		body, err := wire.ReadClientFrame(br, buf)
 		if err != nil {
 			s.fail(fmt.Errorf("%w: %v", ErrSessionClosed, err))
 			return
@@ -158,7 +160,13 @@ func (s *Session) roundTrip(op wire.ClientOp, key string, val []byte) (wire.Clie
 		s.mu.Lock()
 		delete(s.pending, id)
 		s.mu.Unlock()
-		s.fail(fmt.Errorf("%w: %v", ErrSessionClosed, err))
+		if errors.Is(err, wire.ErrUnencodable) {
+			// Nothing was written: the request is this caller's mistake,
+			// and the connection stays good for everyone else's.
+			return wire.ClientResponse{}, err
+		}
+		err = fmt.Errorf("%w: %v", ErrSessionClosed, err)
+		s.fail(err)
 		return wire.ClientResponse{}, err
 	}
 

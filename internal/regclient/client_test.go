@@ -179,6 +179,60 @@ func TestSessionCloseFailsWaiters(t *testing.T) {
 	}
 }
 
+// A request that cannot be encoded is its caller's error alone: the
+// session stays alive, and another caller's request in flight on the same
+// connection still gets its response.
+func TestSessionBadRequestKeepsSession(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := serveStub(t, func(op wire.ClientOp, key string, val []byte) ([]byte, error) {
+		if key == "parked" {
+			arrived <- struct{}{}
+			<-release
+		}
+		return []byte("v-" + key), nil
+	})
+	sess, err := DialNode(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	parked := make(chan error, 1)
+	go func() {
+		v, err := sess.Get("parked")
+		if err == nil && string(v) != "v-parked" {
+			err = fmt.Errorf("read %q", v)
+		}
+		parked <- err
+	}()
+	<-arrived
+
+	for _, bad := range []struct {
+		name string
+		op   func() error
+	}{
+		{"empty key", func() error { return sess.Put("", []byte("v")) }},
+		{"256-byte key", func() error { _, err := sess.Get(strings.Repeat("k", 256)); return err }},
+		{"300-byte key", func() error { return sess.Put(strings.Repeat("k", 300), []byte("v")) }},
+		{"oversized value", func() error { return sess.Put("k", make([]byte, wire.MaxValueLen+1)) }},
+	} {
+		err := bad.op()
+		if !errors.Is(err, wire.ErrUnencodable) || errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s: %v, want ErrUnencodable", bad.name, err)
+		}
+		if !sess.Alive() {
+			t.Fatalf("%s killed the session", bad.name)
+		}
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("in-flight request failed after bad requests: %v", err)
+	}
+	if v, err := sess.Get("next"); err != nil || string(v) != "v-next" {
+		t.Fatalf("get after bad requests: %q, %v", v, err)
+	}
+}
+
 // Server-side teardown (node dies mid-request) surfaces as ErrSessionClosed
 // too — the waiters' channels are closed when the reader loop exits.
 func TestSessionServerDeathFailsWaiters(t *testing.T) {

@@ -205,8 +205,11 @@ func (nd *Node) PendingFlush() bool { return nd.held > 0 }
 
 // Flush implements proto.Flusher: per destination (ascending, so the order
 // is deterministic), a lone frame ships bare and a burst ships as MultiMsg
-// chunks of at most MaxMultiFrames subframes, preserving emission order on
-// each link.
+// chunks, preserving emission order on each link. A chunk holds at most
+// MaxMultiFrames subframes and, past its first, at most
+// core.MaxBatchDataBytes of payload: the stream transports cap a frame, a
+// rejected frame drops its link, and lanes never resend — so every frame
+// must fit. A subframe too large to share a chunk ships bare.
 func (nd *Node) Flush() proto.Effects {
 	out := proto.Effects{Sends: nd.sends[:0]}
 	if nd.held == 0 {
@@ -219,9 +222,14 @@ func (nd *Node) Flush() proto.Effects {
 			continue
 		}
 		for off := 0; off < len(frames); {
-			end := off + MaxMultiFrames
-			if end > len(frames) {
-				end = len(frames)
+			end, bytes := off, 0
+			for end < len(frames) && end-off < MaxMultiFrames {
+				next := bytes + frames[end].DataBytes()
+				if end > off && next > core.MaxBatchDataBytes {
+					break
+				}
+				bytes = next
+				end++
 			}
 			if end-off == 1 {
 				out.AddSend(to, frames[off])

@@ -47,7 +47,8 @@ var ErrKeyTooLong = errors.New("regmap: key too long")
 const MaxKeyLen = 255
 
 // MaxMultiFrames bounds the subframes one MultiMsg carries (its count
-// travels in one byte); the coalescer splits longer bursts.
+// travels in one byte); the coalescer splits longer bursts, and bursts
+// over core.MaxBatchDataBytes of payload.
 const MaxMultiFrames = 255
 
 // MultiCountBits is the framing cost of a cross-key multi-frame: a one-byte

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"twobitreg/internal/regmap"
+	"twobitreg/internal/wire"
 )
 
 // reserveAddrs returns n loopback addresses that were free a moment ago,
@@ -154,5 +156,50 @@ func TestLocalRejectsBadInput(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("an operation issued alongside the oversized key never completed")
 		}
+	}
+}
+
+// TestLocalLargeValuesFitFrameCap pins the invariant that every mesh frame
+// a sender builds fits the receiver's cap. A rejected frame drops its link
+// and lanes never resend, so a put whose frame is too large never
+// completes. Concurrent 1 MiB puts on distinct keys coalesce into
+// multi-frames that must split by payload, and a put of the largest value
+// the client protocol carries must fit with its keyed-frame headers.
+func TestLocalLargeValuesFitFrameCap(t *testing.T) {
+	// Two processes hold the test's memory down: every process keeps every
+	// value, relays each WRITE, and keeps a link's largest frame buffered.
+	lc, err := StartLocal(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	nd := lc.Proc(0, 0).Node()
+
+	const puts = 24
+	mib := bytes.Repeat([]byte{'m'}, 1<<20)
+	done := make(chan error, puts+1)
+	for i := 0; i < puts; i++ {
+		key := fmt.Sprintf("big%d", i)
+		go func() { done <- nd.Put(key, mib) }()
+	}
+	go func() { done <- nd.Put("max", make([]byte, wire.MaxValueLen)) }()
+	for i := 0; i < puts+1; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d large puts never completed", puts+1-i, puts+1)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if n := lc.Proc(0, i).MeshStats().DecodeErrors; n != 0 {
+			t.Fatalf("process %d counted %d decode errors", i, n)
+		}
+	}
+	v, err := lc.Proc(0, 1).Node().Get("big7")
+	if err != nil || !bytes.Equal(v, mib) {
+		t.Fatalf("read back a %d-byte value, err %v", len(v), err)
 	}
 }

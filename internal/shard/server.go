@@ -9,6 +9,7 @@ package shard
 // responses return in completion order, matched back by request id.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -136,9 +137,10 @@ func (c *session) run() {
 		c.srv.mu.Unlock()
 		c.srv.wg.Done()
 	}()
+	br := bufio.NewReaderSize(c.conn, wire.ClientReadBufSize)
 	var buf []byte
 	for {
-		body, err := wire.ReadClientFrame(c.conn, buf)
+		body, err := wire.ReadClientFrame(br, buf)
 		if err != nil {
 			return // disconnect, malformed framing, or server shutdown
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,8 +31,15 @@ type AppendCodec interface {
 	AppendEncode(dst []byte, msg proto.Message) ([]byte, error)
 }
 
-// maxFrame bounds inbound frames against corrupt or malicious peers.
-const maxFrame = 1 << 24
+// maxFrame bounds inbound frames against corrupt or malicious peers. It
+// admits the largest frame a sender builds: one value of the codec's limit
+// (wire.MaxValueLen, 1<<24) plus its keyed-frame headers, which stay under
+// 1 KiB. Batched frames are split by their emitters well below it.
+const maxFrame = 1<<24 + 1<<10
+
+// readBufSize is the per-connection read buffer: a frame costs at most one
+// read syscall, and frames already waiting in the socket cost none.
+const readBufSize = 16 << 10
 
 // maxBatchBytes flushes a sender's coalescing buffer mid-drain once it
 // grows past this size, bounding memory and syscall payload alike.
@@ -788,11 +796,14 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		delete(m.inbound, conn)
 		m.mu.Unlock()
 	}()
-	var hs [1]byte
-	if _, err := conn.Read(hs[:]); err != nil {
+	// The handshake byte is read through the frame reader's buffer, so
+	// frames that arrived with it are not lost.
+	fr := newFrameReader(conn, m.codec)
+	hs, err := fr.r.ReadByte()
+	if err != nil {
 		return
 	}
-	from := int(hs[0])
+	from := int(hs)
 	if from < 0 || from >= m.n || from == m.self {
 		return
 	}
@@ -805,7 +816,6 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		m.seenFrom[from] = true
 	}
 	m.mu.Unlock()
-	fr := frameReader{r: conn, codec: m.codec}
 	for {
 		msg, err := fr.next()
 		if err != nil {
@@ -831,16 +841,21 @@ func isConnReset(err error) bool {
 	return errors.As(err, &ne) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// frameReader reads length-prefixed frames through one reused buffer: the
-// codec copies every byte it keeps (values, keys) out of the input during
-// Decode, so the buffer is safe to overwrite on the next frame and the
-// steady-state read path performs no per-frame allocation beyond the
-// decoded message itself.
+// frameReader reads length-prefixed frames from a buffered connection
+// through one reused body buffer: the codec copies every byte it keeps
+// (values, keys) out of the input during Decode, so the buffer is safe to
+// overwrite on the next frame and the steady-state read path performs no
+// per-frame allocation beyond the decoded message itself.
 type frameReader struct {
-	r     io.Reader
+	r     *bufio.Reader
 	codec Codec
 	hdr   [4]byte
 	buf   []byte
+}
+
+// newFrameReader wraps r in a readBufSize read buffer.
+func newFrameReader(r io.Reader, codec Codec) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, readBufSize), codec: codec}
 }
 
 // next reads and decodes one frame.

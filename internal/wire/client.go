@@ -22,6 +22,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -97,6 +98,20 @@ func (e *ClientVersionError) Error() string {
 	return fmt.Sprintf("wire: client frame version %d (this node speaks %d)",
 		e.Got, ClientProtoVersion)
 }
+
+// ClientReadBufSize is the read buffer a client-protocol endpoint wraps its
+// connection in before ReadClientFrame: a frame costs at most one read
+// syscall, and frames already waiting in the socket cost none.
+const ClientReadBufSize = 16 << 10
+
+// maxClientFrame caps a client frame body: a value of MaxValueLen plus the
+// request or response header and key.
+const maxClientFrame = MaxValueLen + 1<<10
+
+// ErrUnencodable marks a ClientFrameWriter error that came from encoding:
+// the frame was invalid and nothing was written, so the stream is intact.
+// Any other writer error is a failed write on the stream.
+var ErrUnencodable = errors.New("wire: unencodable client frame")
 
 // clientReqHdrLen is version + op + id + key-length.
 const clientReqHdrLen = 1 + 1 + 8 + 1
@@ -232,8 +247,9 @@ func DecodeClientResponse(b []byte) (ClientResponse, error) {
 }
 
 // ClientFrameWriter writes length-prefixed client frames through one
-// reusable encode buffer (the client-protocol sibling of FrameWriter).
-// Not safe for concurrent use — sessions serialize writes.
+// reusable encode buffer: the length prefix and body are assembled in
+// place and shipped in a single Write. Not safe for concurrent use —
+// sessions serialize writes.
 type ClientFrameWriter struct {
 	buf []byte
 }
@@ -243,7 +259,7 @@ func (fw *ClientFrameWriter) WriteRequest(w io.Writer, r ClientRequest) error {
 	buf, err := AppendClientRequest(append(fw.buf[:0], 0, 0, 0, 0), r)
 	fw.buf = buf
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrUnencodable, err)
 	}
 	return fw.flush(w)
 }
@@ -253,7 +269,7 @@ func (fw *ClientFrameWriter) WriteResponse(w io.Writer, r ClientResponse) error 
 	buf, err := AppendClientResponse(append(fw.buf[:0], 0, 0, 0, 0), r)
 	fw.buf = buf
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrUnencodable, err)
 	}
 	return fw.flush(w)
 }
@@ -268,7 +284,9 @@ func (fw *ClientFrameWriter) flush(w io.Writer) error {
 
 // ReadClientFrame reads one length-prefixed frame body from r, reusing buf
 // when it is large enough. The returned slice is only valid until the next
-// call with the same buffer; decoders copy what they keep.
+// call with the same buffer; decoders copy what they keep. r should be a
+// bufio.Reader of ClientReadBufSize over the connection: unbuffered, every
+// frame costs two reads.
 func ReadClientFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -278,7 +296,7 @@ func ReadClientFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if n == 0 {
 		return nil, ErrTruncated
 	}
-	if n > MaxValueLen+1024 {
+	if n > maxClientFrame {
 		return nil, fmt.Errorf("wire: client frame of %d bytes exceeds limit", n)
 	}
 	if uint32(cap(buf)) < n {

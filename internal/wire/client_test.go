@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestClientRequestRoundTrip(t *testing.T) {
@@ -174,5 +178,145 @@ func TestClientFrameWriterAndReader(t *testing.T) {
 	}
 	if _, err := ReadClientFrame(&buf, nil); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
+	}
+}
+
+// clientStream frames the given requests the way a session writes them.
+func clientStream(t *testing.T, reqs []ClientRequest) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var fw ClientFrameWriter
+	for _, r := range reqs {
+		if err := fw.WriteRequest(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// readRequests decodes request frames from r until EOF.
+func readRequests(t *testing.T, r io.Reader) []ClientRequest {
+	t.Helper()
+	var out []ClientRequest
+	var scratch []byte
+	for {
+		body, err := ReadClientFrame(r, scratch)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(out), err)
+		}
+		scratch = body[:0]
+		req, err := DecodeClientRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, req)
+	}
+}
+
+func sameRequests(t *testing.T, got, want []ClientRequest) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d requests, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Op != want[i].Op || got[i].Key != want[i].Key || !bytes.Equal(got[i].Val, want[i].Val) {
+			t.Fatalf("request %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// readCounter counts the Read calls that reach the underlying stream.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadClientFrameBuffered covers ReadClientFrame behind the session's
+// read buffer: bodies assembled across one-byte reads and across reads
+// larger than the buffer, many frames served by one read, and an
+// oversized prefix rejected before the body is allocated.
+func TestReadClientFrameBuffered(t *testing.T) {
+	buffered := func(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, ClientReadBufSize) }
+	t.Run("one-byte-reads", func(t *testing.T) {
+		want := []ClientRequest{
+			{ID: 1, Op: ClientPut, Key: "a", Val: []byte("first")},
+			{ID: 2, Op: ClientGet, Key: "b"},
+			{ID: 3, Op: ClientPut, Key: "c", Val: bytes.Repeat([]byte{'v'}, 300)},
+		}
+		sameRequests(t, readRequests(t, buffered(iotest.OneByteReader(bytes.NewReader(clientStream(t, want))))), want)
+	})
+	t.Run("many-frames-per-read", func(t *testing.T) {
+		var want []ClientRequest
+		for i := 0; i < 100; i++ {
+			want = append(want, ClientRequest{ID: uint64(i), Op: ClientPut, Key: "k", Val: []byte("v")})
+		}
+		cr := &readCounter{r: bytes.NewReader(clientStream(t, want))}
+		sameRequests(t, readRequests(t, buffered(cr)), want)
+		if cr.reads > 2 {
+			t.Fatalf("100 frames took %d reads, want at most 2", cr.reads)
+		}
+	})
+	t.Run("larger-than-buffer", func(t *testing.T) {
+		big := bytes.Repeat([]byte{'b'}, 3*ClientReadBufSize+5)
+		want := []ClientRequest{
+			{ID: 1, Op: ClientGet, Key: "a"},
+			{ID: 2, Op: ClientPut, Key: "b", Val: big},
+			{ID: 3, Op: ClientPut, Key: "c", Val: big},
+			{ID: 4, Op: ClientGet, Key: "d"},
+		}
+		sameRequests(t, readRequests(t, buffered(bytes.NewReader(clientStream(t, want)))), want)
+	})
+	t.Run("oversized-prefix", func(t *testing.T) {
+		for _, size := range []uint32{maxClientFrame + 1, 0xFFFFFFFF} {
+			var hdr [4]byte
+			binary.BigEndian.PutUint32(hdr[:], size)
+			br := buffered(bytes.NewReader(hdr[:]))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadClientFrame(br, nil)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted a %d-byte frame", size)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Fatalf("rejecting a %d-byte prefix allocated %d bytes", size, n)
+			}
+		}
+	})
+}
+
+// TestClientFrameWriterEncodeErrorWritesNothing pins the split a session
+// relies on: an unencodable frame is reported as ErrUnencodable and leaves
+// the stream untouched, while a failed write is not ErrUnencodable.
+func TestClientFrameWriterEncodeErrorWritesNothing(t *testing.T) {
+	var buf bytes.Buffer
+	var fw ClientFrameWriter
+	for _, r := range []ClientRequest{
+		{ID: 1, Op: ClientGet, Key: ""},
+		{ID: 2, Op: ClientGet, Key: strings.Repeat("k", 256)},
+		{ID: 3, Op: ClientPut, Key: "k", Val: make([]byte, MaxValueLen+1)},
+	} {
+		if err := fw.WriteRequest(&buf, r); !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("request %d: %v, want ErrUnencodable", r.ID, err)
+		}
+	}
+	if err := fw.WriteResponse(&buf, ClientResponse{ID: 4, Status: 99}); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("response: %v, want ErrUnencodable", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("unencodable frames wrote %d bytes", buf.Len())
+	}
+	pr, pw := io.Pipe()
+	pr.Close()
+	if err := fw.WriteRequest(pw, ClientRequest{ID: 5, Op: ClientGet, Key: "k"}); err == nil || errors.Is(err, ErrUnencodable) {
+		t.Fatalf("failed write: %v, want a stream error", err)
 	}
 }

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"twobitreg/internal/core"
@@ -152,6 +154,59 @@ func FuzzEncodeDecodeKeyed(f *testing.F) {
 		dm, ok := got.(regmap.MultiMsg)
 		if !ok || len(dm.Frames) != 2 || dm.Frames[0].Key != key || dm.Frames[1].Key != key2 {
 			t.Fatalf("multi round trip produced %#v", got)
+		}
+	})
+}
+
+// FuzzClientFrame feeds arbitrary bytes through the client read path —
+// a ClientReadBufSize bufio.Reader, ReadClientFrame, then both decoders:
+// nothing may panic, no body may exceed the frame cap, and whatever a
+// decoder accepts must re-encode to the identical body.
+func FuzzClientFrame(f *testing.F) {
+	frame := func(body []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	req, _ := AppendClientRequest(nil, ClientRequest{ID: 7, Op: ClientPut, Key: "k", Val: []byte("v")})
+	get, _ := AppendClientRequest(nil, ClientRequest{ID: 8, Op: ClientGet, Key: "key"})
+	resp, _ := AppendClientResponse(nil, ClientResponse{ID: 7, Status: StatusOK, Val: []byte("v")})
+	errResp, _ := AppendClientResponse(nil, ClientResponse{ID: 9, Status: StatusWrongShard, Err: "elsewhere"})
+	f.Add(frame(req))
+	f.Add(append(frame(get), frame(req)...))
+	f.Add(append(frame(resp), frame(errResp)...))
+	f.Add(frame(req)[:7])
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, ClientProtoVersion})
+	f.Add(frame([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 'k', 0, 0, 0, 0}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(data), ClientReadBufSize)
+		var scratch []byte
+		for {
+			body, err := ReadClientFrame(br, scratch)
+			if err != nil {
+				return // rejection is fine; panicking is not
+			}
+			if len(body) == 0 || len(body) > maxClientFrame {
+				t.Fatalf("ReadClientFrame returned a %d-byte body (cap %d)", len(body), maxClientFrame)
+			}
+			scratch = body[:0]
+			if r, err := DecodeClientRequest(body); err == nil {
+				out, err := AppendClientRequest(nil, r)
+				if err != nil {
+					t.Fatalf("decoded request failed to re-encode: %v", err)
+				}
+				if !bytes.Equal(out, body) {
+					t.Fatalf("request re-encode changed bytes: %x -> %x", body, out)
+				}
+			}
+			if r, err := DecodeClientResponse(body); err == nil {
+				out, err := AppendClientResponse(nil, r)
+				if err != nil {
+					t.Fatalf("decoded response failed to re-encode: %v", err)
+				}
+				if !bytes.Equal(out, body) {
+					t.Fatalf("response re-encode changed bytes: %x -> %x", body, out)
+				}
+			}
 		}
 	})
 }

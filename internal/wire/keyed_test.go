@@ -125,25 +125,3 @@ func TestKeyedRejects(t *testing.T) {
 		}
 	}
 }
-
-// TestKeyedFrameWriteRead pushes a keyed multi-frame through the stream
-// framing (WriteFrame/ReadFrame).
-func TestKeyedFrameWriteRead(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	m := regmap.MultiMsg{Frames: []regmap.KeyedMsg{
-		{Key: "cfg/a", Inner: core.LaneMsg{Writer: 1, M: core.WriteMsg{Bit: 0, Val: proto.Value("v1")}}},
-		{Key: "cfg/b", Inner: core.ReadMsg{}},
-	}}
-	if err := WriteFrame(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm, ok := got.(regmap.MultiMsg)
-	if !ok || len(mm.Frames) != 2 || mm.Frames[0].Key != "cfg/a" {
-		t.Fatalf("stream round trip produced %#v", got)
-	}
-}

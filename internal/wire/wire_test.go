@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 
@@ -114,43 +113,6 @@ func TestDecodeRejectsCorruptHeader(t *testing.T) {
 	}
 	if _, err := Decode([]byte{codeProc, 0x1}); err == nil {
 		t.Fatal("accepted PROCEED with trailing bytes")
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	in := []proto.Message{
-		core.WriteMsg{Bit: 1, Val: proto.Value("v1")},
-		core.ReadMsg{},
-		core.ProceedMsg{},
-		core.WriteMsg{Bit: 0, Val: proto.Value("v2")},
-	}
-	for _, m := range in {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range in {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TypeName() != want.TypeName() {
-			t.Fatalf("frame order: got %s, want %s", got.TypeName(), want.TypeName())
-		}
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("draining empty stream: %v, want io.EOF", err)
-	}
-}
-
-func TestFrameRejectsOversize(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("accepted oversized frame")
 	}
 }
 
