@@ -52,6 +52,24 @@ func TestParseStreamSplitEvents(t *testing.T) {
 	}
 }
 
+// TestNormalizeKeepsNumericSubName: a sub-benchmark name that ends in a
+// number must not collide with the GOMAXPROCS suffix, or one-core and
+// multi-core reports of the same benchmark normalize apart. Naming it
+// key=value keeps the number out of the suffix position.
+func TestNormalizeKeepsNumericSubName(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ in, want string }{
+		{"BenchmarkSweepParallel/workers=1-4", "BenchmarkSweepParallel/workers=1"},
+		{"BenchmarkSweepParallel/workers=1", "BenchmarkSweepParallel/workers=1"},
+		{"BenchmarkSweepParallel/workers=max-2", "BenchmarkSweepParallel/workers=max"},
+		{"BenchmarkB-16", "BenchmarkB"},
+	} {
+		if got := normalize(tc.in); got != tc.want {
+			t.Errorf("normalize(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestParseFilesMergesBaselines(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"twobitreg/internal/proto"
@@ -176,11 +177,26 @@ func (nd *KeyedNode) enqueue(ev keyedEvent) bool {
 // nextBatch blocks until events are available and takes the whole mailbox:
 // the batch is the coalescing burst — every keyed frame its events produce
 // toward one peer ships as one multi-frame when the store coalesces.
+//
+// Between waking and taking, the loop yields the processor once. The
+// cond.Signal that woke it put the loop in the signalling goroutine's
+// runnext slot, so without the yield it runs as soon as that one sender
+// blocks and takes a burst of about two events. The yield lets every
+// goroutine that is already runnable — mesh readers with frames in their
+// read buffers, session handlers holding requests — enqueue first, and
+// the burst grows to what arrived together. When nothing else is
+// runnable, Gosched returns at once: a latency-bound loop pays nothing,
+// and there is no timer.
 func (nd *KeyedNode) nextBatch() ([]keyedEvent, bool) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	for len(nd.queue) == 0 && !nd.stopping {
 		nd.cond.Wait()
+	}
+	if !nd.stopping {
+		nd.mu.Unlock()
+		runtime.Gosched()
+		nd.mu.Lock()
 	}
 	if nd.stopping {
 		return nil, false

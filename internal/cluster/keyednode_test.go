@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"twobitreg/internal/proto"
 	"twobitreg/internal/regmap"
@@ -122,5 +123,96 @@ func TestKeyedNodeStopFailsPending(t *testing.T) {
 	}
 	if err := nd.Put("after", []byte("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("op after Stop: %v, want ErrStopped", err)
+	}
+}
+
+// tick is the burst test's one-event message.
+type tick struct{}
+
+func (tick) TypeName() string { return "TICK" }
+func (tick) ControlBits() int { return 0 }
+func (tick) DataBytes() int   { return 0 }
+
+// burstCounter is a coalescing KeyedProcess that counts the events it sees
+// and the flush ticks the loop grants it. Reads complete at once; each
+// delivered message also posts a token on arrived. Its counters are
+// touched only on the event loop.
+type burstCounter struct {
+	events, flushes int
+	pending         bool
+	arrived         chan struct{}
+}
+
+func (b *burstCounter) ID() int { return 0 }
+
+func (b *burstCounter) Start(_ string, op proto.OpID, kind proto.OpKind, _ proto.Value) proto.Effects {
+	b.events++
+	b.pending = true
+	return proto.Effects{Done: []proto.Completion{{Op: op, Kind: kind}}}
+}
+
+func (b *burstCounter) Deliver(int, proto.Message) proto.Effects {
+	b.events++
+	b.pending = true
+	b.arrived <- struct{}{}
+	return proto.Effects{}
+}
+
+func (b *burstCounter) PendingFlush() bool { return b.pending }
+
+func (b *burstCounter) Flush() proto.Effects {
+	b.pending = false
+	b.flushes++
+	return proto.Effects{}
+}
+
+// TestKeyedNodeBurstsForm pins burst formation: events that become ready
+// together are taken as one burst, so a coalescing process gets one flush
+// for many events rather than one for every event or two. Each round
+// releases k goroutines at once, each delivering one event. A lone event
+// must still complete at once, since no timer holds the loop back.
+func TestKeyedNodeBurstsForm(t *testing.T) {
+	const k, rounds = 8, 200
+	b := &burstCounter{arrived: make(chan struct{}, k)}
+	nd := NewKeyedNode(0, b, func(int, proto.Message) {})
+	for r := 0; r < rounds; r++ {
+		release := make(chan struct{})
+		var parked sync.WaitGroup
+		parked.Add(k)
+		for i := 0; i < k; i++ {
+			go func() {
+				parked.Done()
+				<-release
+				nd.Deliver(1, tick{})
+			}()
+		}
+		parked.Wait()
+		close(release)
+		for i := 0; i < k; i++ {
+			<-b.arrived
+		}
+	}
+	nd.Stop() // every burst, and its flush, has run once the loop exits
+	perEvent := float64(b.flushes) / float64(b.events)
+	t.Logf("%d events, %d flushes: %.3f flushes/event", b.events, b.flushes, perEvent)
+	if b.events != k*rounds {
+		t.Fatalf("%d events, want %d", b.events, k*rounds)
+	}
+	if perEvent > 0.3 {
+		t.Fatalf("%.3f flushes/event for %d events released together: bursts do not form", perEvent, k)
+	}
+
+	lone := &burstCounter{}
+	nd = NewKeyedNode(0, lone, func(int, proto.Message) {})
+	defer nd.Stop()
+	const ops = 200
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		if _, err := nd.Get("lone"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el := time.Since(start); el > ops*time.Millisecond {
+		t.Fatalf("%d lone reads took %v: a lone event waited", ops, el)
 	}
 }

@@ -38,14 +38,16 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // sharded Sweep engine at 1 worker and at GOMAXPROCS, so the ratio of the
 // two sched/s readings is the parallel speedup on the host (≈1 on one core,
 // ≈GOMAXPROCS on an idle multi-core runner — schedules share no state).
-// The second case is named workers-max, not workers-<count>, so the
-// trajectory baseline diffs cleanly across hosts with different core
-// counts (benchdiff treats a baseline-only name as coverage loss).
+// The cases are named workers=1 and workers=max, not workers-<count>:
+// benchdiff strips a trailing -<digits> as the GOMAXPROCS suffix, so a
+// name ending in one would lose it on a one-core host and keep it on the
+// others, and the trajectory baseline would not diff across hosts
+// (benchdiff treats a baseline-only name as coverage loss).
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"workers-1", 1}, {"workers-max", runtime.GOMAXPROCS(0)}} {
+	}{{"workers=1", 1}, {"workers=max", runtime.GOMAXPROCS(0)}} {
 		workers := bc.workers
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

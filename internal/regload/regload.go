@@ -60,9 +60,6 @@ type Spec struct {
 	// PerFrame disables the meshes' batched drains (one conn.Write per
 	// frame) — the E-TCP1 measurement baseline for the batching win.
 	PerFrame bool
-	// FlushWindow makes each peer sender linger this long before draining,
-	// trading latency for larger batches (transport.WithSendFlushWindow).
-	FlushWindow time.Duration
 	// Seed drives the clients' read/write and key choice; runs with the
 	// same spec issue the same operation mix.
 	Seed int64
@@ -145,9 +142,6 @@ func (s *Spec) Validate() error {
 	if s.ValueSize < 0 || s.ValueSize > 1<<20 {
 		return fail("value-size", fmt.Sprintf("need 0..1MiB, got %d", s.ValueSize))
 	}
-	if s.FlushWindow < 0 || s.FlushWindow > time.Second {
-		return fail("flush-window", fmt.Sprintf("need 0..1s, got %s", s.FlushWindow))
-	}
 	deadPerShard := make([]int, shards)
 	seen := make(map[int]bool, len(s.Dead))
 	for _, d := range s.Dead {
@@ -200,14 +194,13 @@ func (s *Spec) Validate() error {
 
 // Report is the outcome of one load run.
 type Report struct {
-	Procs    int           `json:"procs"`
-	Shards   int           `json:"shards"`
-	Clients  int           `json:"clients"`
-	Keys     int           `json:"keys"`
-	ReadFrac float64       `json:"read_frac"`
-	PerFrame bool          `json:"per_frame,omitempty"`
-	FlushWin time.Duration `json:"flush_window_ns,omitempty"`
-	Dead     []int         `json:"dead,omitempty"`
+	Procs    int     `json:"procs"`
+	Shards   int     `json:"shards"`
+	Clients  int     `json:"clients"`
+	Keys     int     `json:"keys"`
+	ReadFrac float64 `json:"read_frac"`
+	PerFrame bool    `json:"per_frame,omitempty"`
+	Dead     []int   `json:"dead,omitempty"`
 	// Restarted lists the processes that were killed mid-run and came
 	// back; RestartErrs counts revivals whose recovery or post-revival
 	// read failed, and LostAckWrites counts pre-kill acknowledged writes
@@ -271,9 +264,6 @@ func (r *Report) String() string {
 	if r.PerFrame {
 		s += " per-frame"
 	}
-	if r.FlushWin > 0 {
-		s += fmt.Sprintf(" flush-window=%s", r.FlushWin)
-	}
 	if len(r.Dead) > 0 {
 		s += fmt.Sprintf(" dead=%v", r.Dead)
 	}
@@ -331,9 +321,6 @@ func Run(spec Spec) (*Report, error) {
 	}
 	if spec.PerFrame {
 		opts = append(opts, shard.WithMeshOptions(transport.WithPerFrameWrites()))
-	}
-	if spec.FlushWindow > 0 {
-		opts = append(opts, shard.WithMeshOptions(transport.WithSendFlushWindow(spec.FlushWindow)))
 	}
 	lc, err := shard.StartLocal(shards, per, opts...)
 	if err != nil {
@@ -547,7 +534,6 @@ func Run(spec Spec) (*Report, error) {
 		Keys:          spec.Keys,
 		ReadFrac:      spec.ReadFrac,
 		PerFrame:      spec.PerFrame,
-		FlushWin:      spec.FlushWindow,
 		Dead:          append([]int(nil), spec.Dead...),
 		Restarted:     restarted,
 		RestartErrs:   restartErrs.Load(),

@@ -2,15 +2,18 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"twobitreg/internal/regmap"
+	"twobitreg/internal/transport"
 	"twobitreg/internal/wire"
 )
 
@@ -201,5 +204,106 @@ func TestLocalLargeValuesFitFrameCap(t *testing.T) {
 	v, err := lc.Proc(0, 1).Node().Get("big7")
 	if err != nil || !bytes.Equal(v, mib) {
 		t.Fatalf("read back a %d-byte value, err %v", len(v), err)
+	}
+}
+
+// TestStalledPeerDoesNotWedgeQuorum points member 2's mesh address at a
+// listener that accepts and never reads: a peer that stays connected but
+// stops reading, as a stopped process, a paused VM or a partition without
+// a reset leaves it. Members 0 and 1 form a quorum, so puts through them
+// must keep completing after the sockets toward member 2 fill, and Kill
+// must still return. A blocking write toward member 2 on the event loop
+// would wedge both.
+func TestStalledPeerDoesNotWedgeQuorum(t *testing.T) {
+	// A small receive buffer on the stalled side makes the sockets fill
+	// after a few MiB instead of tens of them.
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error {
+		var err error
+		if cerr := c.Control(func(fd uintptr) {
+			err = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 64<<10)
+		}); cerr != nil {
+			return cerr
+		}
+		return err
+	}}
+	stall, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	go func() {
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+
+	addrs := reserveAddrs(t, 4)
+	peers := []string{addrs[0], addrs[1], stall.Addr().String()}
+	live := make([]*Process, 2)
+	for id := range live {
+		// A short queue bounds what the live members buffer toward the
+		// stalled one; it plays no part in the fault.
+		p, err := StartProcess(ProcessConfig{Shards: 1, ID: id, Peers: peers, Client: addrs[2+id],
+			Mesh: []transport.MeshOption{transport.WithQueueCap(64)}})
+		if err != nil {
+			t.Fatalf("start process %d: %v", id, err)
+		}
+		live[id] = p
+		t.Cleanup(p.Kill)
+	}
+	// Registered last, so it runs first: closing the stalled side resets
+	// its connections and frees a wedged writer before the Kills run.
+	t.Cleanup(func() {
+		stall.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+
+	// 400 distinct keys of 64 KiB each: every put sends a fresh WRITE
+	// toward member 2 from both live members, about 50 MiB in all.
+	val := bytes.Repeat([]byte{'s'}, 64<<10)
+	const puts = 400
+	for i := 0; i < puts; i++ {
+		p := live[i%2]
+		done := make(chan error, 1)
+		go func() { done <- p.Node().Put(fmt.Sprintf("k%d", i), val) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("put %d of %d stalled behind the non-reading peer", i, puts)
+		}
+	}
+	// The sockets toward member 2 did fill: frames toward it were dropped.
+	var dropped int64
+	for _, p := range live {
+		dropped += p.MeshStats().FramesDropped
+	}
+	if dropped == 0 {
+		t.Fatal("no frame toward the stalled peer was dropped; the probe never filled its sockets")
+	}
+	t.Logf("%d puts done; %d frames toward the stalled peer dropped", puts, dropped)
+	for id, p := range live {
+		done := make(chan struct{})
+		go func() { p.Kill(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Kill of process %d hung", id)
+		}
 	}
 }

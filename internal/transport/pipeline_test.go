@@ -1,10 +1,15 @@
 package transport_test
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -410,26 +415,161 @@ func TestTCPBatchedWritesUnderConcurrency(t *testing.T) {
 	})
 }
 
-// TestTCPFlushWindowBatches checks the socket-level flush window: even a
-// single sequential sender must see multi-frame batches when the sender
-// lingers before draining.
-func TestTCPFlushWindowBatches(t *testing.T) {
+// bigSeqMsg is seqMsg padded to size bytes of value, so a handful of
+// frames fill a loopback socket's buffers.
+func bigSeqMsg(i uint64, size int) proto.Message {
+	v := make([]byte, size)
+	binary.BigEndian.PutUint64(v, i)
+	return core.WriteMsg{Bit: uint8(i % 2), Val: v}
+}
+
+// TestTCPStalledPeerSendNeverBlocks points peer 1 at a listener that
+// accepts and never reads. Once the socket buffers toward it fill, the
+// inline path's write would block its caller (an event loop, in every
+// runtime) for good; Send must instead keep returning at once, with the
+// overflow counted as dropped.
+func TestTCPStalledPeerSendNeverBlocks(t *testing.T) {
 	t.Parallel()
-	var delivered atomic.Int64
-	a, _ := meshPair(t, func(int, proto.Message) { delivered.Add(1) },
-		transport.WithSendFlushWindow(2*time.Millisecond), transport.WithQueueCap(4096))
-	const total = 1000
-	for i := uint64(0); i < total; i++ {
-		if err := a.Send(1, seqMsg(i)); err != nil {
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	m, err := transport.NewMesh(0, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {},
+		transport.WithQueueCap(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanups run last-in first-out: the stalled side closes first,
+	// which frees a wedged writer, then the mesh.
+	t.Cleanup(func() { m.Close() })
+	t.Cleanup(func() {
+		stall.Close()
+		close(accepted)
+		for c := range accepted {
+			c.Close()
+		}
+	})
+	if err := m.SetPeers([]string{m.Addr(), stall.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Send(1, seqMsg(0)); err != nil { // the sender dials
+		t.Fatal(err)
+	}
+	waitFor(t, "link up", func() bool { return m.Stats().FramesSent == 1 })
+
+	const sends, size = 1000, 64 << 10 // 64 MiB, far beyond the socket buffers
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(1); i <= sends; i++ {
+			if err := m.Send(1, bigSeqMsg(i, size)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Send blocked on a peer that stopped reading: %s", m.Stats())
+	}
+	if st := m.Stats(); st.FramesDropped == 0 {
+		t.Fatalf("nothing dropped toward a stalled peer: %s", st)
+	}
+}
+
+// smallBufListener listens on loopback with a 64 KiB receive buffer on
+// every accepted connection, so a peer that does not read fills its
+// sockets after a few MiB.
+func smallBufListener(t *testing.T) net.Listener {
+	t.Helper()
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error {
+		var err error
+		if cerr := c.Control(func(fd uintptr) {
+			err = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 64<<10)
+		}); cerr != nil {
+			return cerr
+		}
+		return err
+	}}
+	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln
+}
+
+// TestTCPInlineTailKeepsFraming sends one frame at a time toward a peer
+// that reads nothing until every Send has returned: once the sockets
+// fill, an inline write ends part-way and leaves its tail to the sender,
+// and later frames queue behind it. When the peer then reads, the stream
+// must hold every frame exactly once, in order, intact.
+func TestTCPInlineTailKeepsFraming(t *testing.T) {
+	t.Parallel()
+	ln := smallBufListener(t)
+	m, err := transport.NewMesh(0, 2, "127.0.0.1:0", wire.Codec{}, func(int, proto.Message) {},
+		transport.WithSendPolicy(transport.Block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if err := m.SetPeers([]string{m.Addr(), ln.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Send(1, bigSeqMsg(0, 64<<10)); err != nil { // the sender dials
+		t.Fatal(err)
+	}
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitFor(t, "link up", func() bool { return m.Stats().FramesSent == 1 })
+
+	const sends, size = 200, 64 << 10 // 12.5 MiB, beyond the socket buffers
+	for i := uint64(1); i < sends; i++ {
+		if err := m.Send(1, bigSeqMsg(i, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "all frames delivered", func() bool { return delivered.Load() == total })
-	st := a.Stats()
-	if st.MaxBatch < 2 {
-		t.Errorf("max batch %d with a 2ms flush window", st.MaxBatch)
+	r := bufio.NewReader(conn)
+	if hs, err := r.ReadByte(); err != nil || hs != 0 {
+		t.Fatalf("handshake %d, %v", hs, err)
 	}
-	if st.FramesDropped != 0 {
-		t.Errorf("%d frames dropped", st.FramesDropped)
+	var hdr [4]byte
+	for i := uint64(0); i < sends; i++ {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(r, body); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		msg, err := wire.Codec{}.Decode(body)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		w, ok := msg.(core.WriteMsg)
+		if !ok || len(w.Val) != size || binary.BigEndian.Uint64(w.Val) != i {
+			t.Fatalf("frame %d arrived as %s with %d value bytes", i, msg.TypeName(), len(w.Val))
+		}
+	}
+	waitFor(t, "all frames counted sent", func() bool { return m.Stats().FramesSent == sends })
+	if st := m.Stats(); st.FramesDropped != 0 {
+		t.Fatalf("frames dropped toward a live peer: %s", st)
 	}
 }

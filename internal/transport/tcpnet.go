@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"twobitreg/internal/proto"
@@ -85,7 +86,6 @@ type meshConfig struct {
 	perFrame    bool
 	dialRetries int
 	dialBackoff time.Duration
-	flushWindow time.Duration
 }
 
 // MeshOption customizes NewMesh.
@@ -112,15 +112,6 @@ func WithPerFrameWrites() MeshOption {
 // backoff (jitter is applied on top).
 func WithDialRetry(retries int, backoff time.Duration) MeshOption {
 	return func(c *meshConfig) { c.dialRetries, c.dialBackoff = retries, backoff }
-}
-
-// WithSendFlushWindow makes each sender linger up to d after its first
-// pending frame before draining, trading latency for larger batches — the
-// socket-level analogue of the simulator's flush window. Zero (the
-// default) drains immediately; batching then comes only from frames that
-// queued while a write was in flight.
-func WithSendFlushWindow(d time.Duration) MeshOption {
-	return func(c *meshConfig) { c.flushWindow = d }
 }
 
 // Mesh is one process's TCP endpoint in a fully connected cluster running
@@ -250,6 +241,7 @@ func (m *Mesh) SetPeers(addrs []string) error {
 		}
 		p := &peer{m: m, id: id, addr: addr, kick: make(chan struct{}, 1)}
 		p.cond = sync.NewCond(&p.mu)
+		p.inline.fn = p.inline.write
 		p.rng = rand.New(rand.NewSource(int64(m.self)<<16 ^ int64(id) ^ time.Now().UnixNano()))
 		m.peers[id] = p
 		m.wg.Add(1)
@@ -429,9 +421,10 @@ type peer struct {
 	cond    *sync.Cond // frames/space/write-turn availability
 	queue   []proto.Message
 	closed  bool
-	writing bool     // a goroutine (sender or inline Send) owns the conn's write side
-	conn    net.Conn // nil while down; the sender dials, DropConn/close break it
-	dialed  bool     // a connection has been established at least once
+	writing bool            // a goroutine (sender or inline Send) owns the conn's write side
+	conn    net.Conn        // nil while down; the sender dials, DropConn/close break it
+	raw     syscall.RawConn // conn's descriptor for the inline path; nil with conn
+	dialed  bool            // a connection has been established at least once
 	stats   MeshStats
 	// epoch fences batches across PeerRestarted: a batch taken before the
 	// purge (and possibly parked in the dial cycle) must not be written to
@@ -439,6 +432,11 @@ type peer struct {
 	// compared after the connection is (re-)established.
 	epoch      uint64
 	takenEpoch uint64
+	// tail is the unwritten end of an inline frame, which belongs on
+	// tailConn: the sender writes it before its next batch, and the inline
+	// path stays closed until it has.
+	tail     []byte
+	tailConn net.Conn
 
 	// kick interrupts the sender's dial backoff: a buffered signal posted
 	// when the peer's listener is known to be up right now (a revival just
@@ -451,30 +449,43 @@ type peer struct {
 	encBuf []byte
 	batch  []proto.Message
 
-	// inlineBuf is the inline fast path's encode scratch, guarded by the
-	// writing flag (exactly one writer at a time).
-	inlineBuf []byte
+	// inline is the inline fast path's encode scratch and write, guarded
+	// by the writing flag (exactly one writer at a time).
+	inline rawWrite
+}
+
+// rawWrite is the inline path's single write(2). Its callback returns true
+// whatever the syscall did, so RawConn.Write never waits for the socket to
+// drain. fn is bound once per peer, so a frame costs no closure.
+type rawWrite struct {
+	buf []byte
+	n   int
+	err error
+	fn  func(fd uintptr) bool
+}
+
+func (w *rawWrite) write(fd uintptr) bool {
+	w.n, w.err = syscall.Write(int(fd), w.buf)
+	return true
 }
 
 // enqueue applies the queue bound and policy, then hands msg to the
-// sender — or, when the link is idle (connection up, nothing queued, no
-// write in progress), writes the single frame inline on the caller: the
-// quiescent case keeps synchronous-path latency, while any concurrency
-// falls through to the queue and gets drained in batches. Dialing never
-// happens inline, so a down peer costs its callers nothing. A configured
-// flush window disables the inline path — that option explicitly trades
-// latency for batches, so every frame must ride the lingering drain.
+// sender — or, when the link is idle (connection up, nothing queued or
+// half-written, no write in progress), writes the single frame inline on
+// the caller: the quiescent case keeps synchronous-path latency, while any
+// concurrency falls through to the queue and gets drained in batches.
+// Neither dialing nor a blocking write ever happens inline, so a down or
+// stalled peer costs its callers nothing.
 func (p *peer) enqueue(msg proto.Message) error {
 	p.mu.Lock()
-	if !p.writing && len(p.queue) == 0 && p.conn != nil && !p.closed &&
-		p.m.cfg.flushWindow == 0 {
-		c := p.conn
+	if !p.writing && len(p.queue) == 0 && p.tail == nil && p.raw != nil && !p.closed {
+		c, raw := p.conn, p.raw
 		p.writing = true
 		p.mu.Unlock()
-		p.writeInline(c, msg)
+		p.writeInline(c, raw, msg)
 		p.mu.Lock()
 		p.writing = false
-		if len(p.queue) > 0 || p.closed {
+		if len(p.queue) > 0 || p.tail != nil || p.closed {
 			p.cond.Broadcast() // the sender parked while we held the write turn
 		}
 		p.mu.Unlock()
@@ -501,41 +512,87 @@ func (p *peer) enqueue(msg proto.Message) error {
 	return nil
 }
 
-// writeInline ships one frame on the caller's goroutine. The caller holds
-// the write turn (p.writing); a write error breaks the connection exactly
-// like the sender's path.
-func (p *peer) writeInline(c net.Conn, msg proto.Message) {
-	buf, err := p.appendFrame(p.inlineBuf[:0], msg)
-	p.inlineBuf = buf[:0]
-	if err != nil {
-		p.mu.Lock()
-		p.stats.FramesDropped++
-		p.mu.Unlock()
-		return
-	}
-	if _, err := c.Write(buf); err != nil {
-		p.breakConn(c)
-		p.mu.Lock()
-		p.stats.FramesDropped++
-		p.mu.Unlock()
-		return
+// writeInline ships one frame on the caller's goroutine with one
+// non-blocking write(2). The caller is typically an event loop, which must
+// not wait on a peer that stays connected but stops reading (stopped,
+// paused, or cut off without a reset): whatever the socket does not take
+// becomes the peer's tail, which the sender finishes. The caller holds the
+// write turn (p.writing); a write error breaks the connection exactly like
+// the sender's path.
+func (p *peer) writeInline(c net.Conn, raw syscall.RawConn, msg proto.Message) {
+	w := &p.inline
+	buf, err := p.appendFrame(w.buf[:0], msg)
+	w.buf, w.n, w.err = buf, 0, nil
+	if err == nil {
+		// EAGAIN (socket buffer full) and EINTR leave the frame unwritten,
+		// not the connection broken.
+		if err = raw.Write(w.fn); err == nil && w.err != syscall.EAGAIN && w.err != syscall.EINTR {
+			err = w.err
+		}
+		if err != nil {
+			p.breakConn(c)
+		}
 	}
 	p.mu.Lock()
-	p.stats.ConnWrites++
-	p.stats.FramesSent++
-	p.stats.BytesSent += int64(len(buf))
-	if p.stats.MaxBatch < 1 {
-		p.stats.MaxBatch = 1
+	defer p.mu.Unlock()
+	n := max(w.n, 0)
+	switch {
+	case err != nil, n < len(buf) && p.closed:
+		p.stats.FramesDropped++
+		return
+	case n < len(buf):
+		p.tail, p.tailConn = buf[n:], c
+	default:
+		p.stats.FramesSent++
+		p.stats.MaxBatch = max(p.stats.MaxBatch, 1)
 	}
-	p.mu.Unlock()
+	if n > 0 {
+		p.stats.ConnWrites++
+		p.stats.BytesSent += int64(n)
+	}
 }
 
-// close wakes and terminates the sender; queued frames are dropped.
+// finishTail writes the unwritten end of an inline frame, if any, on the
+// connection the frame started on, so the stream stays well framed. If
+// that connection was replaced or the write fails, the frame is lost. It
+// runs on the sender, holding the write turn, and may block.
+func (p *peer) finishTail() (lost int64) {
+	p.mu.Lock()
+	tail, c := p.tail, p.tailConn
+	live := c == p.conn
+	p.mu.Unlock()
+	if tail == nil {
+		return 0
+	}
+	if !live {
+		lost = 1
+	} else if _, err := c.Write(tail); err != nil {
+		p.breakConn(c)
+		lost = 1
+	}
+	p.mu.Lock()
+	if lost == 0 {
+		p.stats.ConnWrites++
+		p.stats.FramesSent++
+		p.stats.BytesSent += int64(len(tail))
+		p.stats.MaxBatch = max(p.stats.MaxBatch, 1)
+	}
+	p.tail, p.tailConn = nil, nil
+	p.mu.Unlock()
+	return lost
+}
+
+// close wakes and terminates the sender; queued frames, and a tail no
+// sender is writing, are dropped.
 func (p *peer) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.stats.FramesDropped += int64(len(p.queue))
 	p.queue = p.queue[:0]
+	if p.tail != nil && !p.writing {
+		p.stats.FramesDropped++
+		p.tail, p.tailConn = nil, nil
+	}
 	if p.conn != nil {
 		p.conn.Close()
 	}
@@ -543,16 +600,13 @@ func (p *peer) close() {
 	p.mu.Unlock()
 }
 
-// take blocks until frames are pending AND the write turn is free, then
-// claims the turn and drains the whole queue into p.batch. Holding the
-// turn from drain to flush keeps the inline fast path from jumping ahead
-// of (or interleaving with) a batch in flight. With a flush window
-// configured it lingers after claiming the turn — the turn blocks inline
-// writes, so a burst in progress accumulates in the queue and lands in
-// one drain.
+// take blocks until frames or an inline frame's tail are pending AND the
+// write turn is free, then claims the turn and drains the whole queue into
+// p.batch. Holding the turn from drain to flush keeps the inline fast path
+// from jumping ahead of (or interleaving with) a batch in flight.
 func (p *peer) take() bool {
 	p.mu.Lock()
-	for (len(p.queue) == 0 || p.writing) && !p.closed {
+	for (len(p.queue) == 0 && p.tail == nil || p.writing) && !p.closed {
 		p.cond.Wait()
 	}
 	// Shutdown ends the sender before close() marks the peer closed:
@@ -563,16 +617,6 @@ func (p *peer) take() bool {
 		return false
 	}
 	p.writing = true
-	if w := p.m.cfg.flushWindow; w > 0 {
-		p.mu.Unlock()
-		time.Sleep(w)
-		p.mu.Lock()
-		if p.closed {
-			p.writing = false
-			p.mu.Unlock()
-			return false
-		}
-	}
 	p.batch = append(p.batch[:0], p.queue...)
 	p.takenEpoch = p.epoch
 	for i := range p.queue {
@@ -584,28 +628,31 @@ func (p *peer) take() bool {
 	return true
 }
 
-// run is the sender goroutine: drain, connect if needed, write the whole
-// batch, release the write turn, repeat. Connection failures drop the
-// affected frames (counted) and never propagate beyond this peer.
+// run is the sender goroutine: drain, finish an inline frame's tail,
+// connect if needed, write the whole batch, release the write turn,
+// repeat. Connection failures drop the affected frames (counted) and
+// never propagate beyond this peer.
 func (p *peer) run() {
 	defer p.m.wg.Done()
 	for p.take() {
-		var lost int64
-		c := p.ensureConn()
-		p.mu.Lock()
-		stale := p.takenEpoch != p.epoch
-		p.mu.Unlock()
-		switch {
-		case c == nil:
-			// Dial cycle exhausted (or shutdown): this batch is lost.
-			lost = int64(len(p.batch))
-		case stale:
-			// PeerRestarted ran while the batch waited out the dial
-			// cycle: it was addressed to the peer's previous incarnation
-			// and must not reach the next one.
-			lost = int64(len(p.batch))
-		default:
-			lost = p.writeBatch(c)
+		lost := p.finishTail()
+		if len(p.batch) > 0 {
+			c := p.ensureConn()
+			p.mu.Lock()
+			stale := p.takenEpoch != p.epoch
+			p.mu.Unlock()
+			switch {
+			case c == nil:
+				// Dial cycle exhausted (or shutdown): this batch is lost.
+				lost += int64(len(p.batch))
+			case stale:
+				// PeerRestarted ran while the batch waited out the dial
+				// cycle: it was addressed to the peer's previous
+				// incarnation and must not reach the next one.
+				lost += int64(len(p.batch))
+			default:
+				lost += p.writeBatch(c)
+			}
 		}
 		p.mu.Lock()
 		p.writing = false
@@ -646,7 +693,10 @@ func (p *peer) ensureConn() net.Conn {
 			c.Close()
 			return nil
 		}
-		p.conn = c
+		p.conn, p.raw = c, nil
+		if sc, ok := c.(syscall.Conn); ok {
+			p.raw, _ = sc.SyscallConn()
+		}
 		if p.dialed {
 			p.stats.Redials++
 		}
@@ -755,7 +805,7 @@ func (p *peer) breakConn(c net.Conn) {
 	c.Close()
 	p.mu.Lock()
 	if p.conn == c {
-		p.conn = nil
+		p.conn, p.raw = nil, nil
 	}
 	p.mu.Unlock()
 }
